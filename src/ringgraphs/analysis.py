@@ -8,13 +8,12 @@ edge count and produces a canonical witness.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 from .graphs import COZERO, GraphLevel, level_context
 from .ideals import zero_ideal
-from .rings import ModularRing, Ring
+from .rings import ModularRing, Ring, prime_factorization
 
 
 class InvalidPartition(Exception):
@@ -199,15 +198,7 @@ def zpnq_parts(ring: Ring) -> PartitionWitness:
     if not isinstance(desc, ModularRing):
         raise NotZpnqForm("only modular rings have the p^n q shape")
     n = desc.modulus
-    factors: dict[int, int] = {}
-    m, d = n, 2
-    while d * d <= m:
-        while m % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            m //= d
-        d += 1
-    if m > 1:
-        factors[m] = factors.get(m, 0) + 1
+    factors = prime_factorization(n)
     if len(factors) != 2 or sorted(factors.values())[0] != 1:
         raise NotZpnqForm(f"{n} is not of the form p^n * q")
     primes = sorted(factors)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional
 
@@ -85,7 +84,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ver = subs.add_parser("verify", help="run a claim grid and report statuses")
     p_ver.add_argument("--grid", default="default", help="'default' or a grid JSON path")
-    p_ver.add_argument("--threads", type=int, default=None, help="worker cap (default: all cores)")
+    p_ver.add_argument(
+        "--threads", type=int, default=None,
+        help="accepted for compatibility; instances run in order",
+    )
     p_ver.add_argument("--format", choices=["json", "table"], default="json")
     p_ver.add_argument("--out", default=None)
 
@@ -229,8 +231,7 @@ def _cmd_verify(args) -> int:
         instances = claims.default_grid()
     else:
         instances = claims.load_grid(args.grid)
-    workers = args.threads if args.threads is not None else os.cpu_count()
-    result = claims.run_suite(instances, workers=workers)
+    result = claims.run_suite(instances)
     if args.format == "json":
         _emit(claims.suite_to_json(result), args.out)
     else:

@@ -9,20 +9,33 @@ Two kinds are built over the same machinery:
   y outside J; adjacency at level i asks for x^n * y^m in J with both powers
   outside J, n, m <= i.
 
+Both kinds have the same vertex set: in the finite ring R/J multiplication
+by x is injective exactly when it is bijective, so a nonzero class is a
+zero-divisor exactly when it is not a unit.
+
 Membership of any element in any ideal depends only on the ideal the element
 generates, so both adjacency tests factor through the interned ideals
-x^mR + J. The per-element sequence of those ideals is eventually periodic,
-which bounds every exponent search and yields the stabilization level at
-which the graphs stop growing.
+x^mR + J, and one loop over those ideal ids serves both kinds. Only the
+relation on an id pair (a, b) differs: the cozero kind asks for a and b to be
+incomparable, the zero kind for a != J, b != J and rep(a) * rep(b) in J,
+where rep(a) is any element generating a over J. The zero relation is exact
+because x^n y^m lies in J iff the product (x^nR + J)(y^mR + J) lies in J.
+
+The per-element sequence of those ideals is eventually periodic, which
+bounds every exponent search and yields the stabilization level at which the
+graphs stop growing. Two consequences decide claims without a search: x^n y
+lies in yR, so a power multiple of y is never adjacent to y at level 1; and
+for an idempotent y, (xy)^m = x^m y lies in y^nR, so xy is never adjacent to
+y at any level.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
-from .ideals import IdealSet, ideal_sum, principal_plus, zero_ideal
+from .ideals import IdealSet, ideal_sum, principal_plus
 from .rings import Ring, descriptor_string
 
 COZERO = "cozero"
@@ -125,51 +138,37 @@ class GraphLevel:
 # ---------------------------------------------------------------------------
 
 class LevelContext:
-    """Shared trajectory and comparability caches for one (ring, J) pair.
-
-    Built by a single writer on first use; afterwards every query is
-    read-only, so the pair loops can fan out freely.
-    """
+    """Shared trajectory and id-pair relation caches for one (ring, J) pair."""
 
     def __init__(self, ring: Ring, J: IdealSet):
         self.ring = ring
         self.J = J
         self._traj: dict[int, PowerTrajectory] = {}
-        self._cmp: dict[tuple[int, int], bool] = {}
         self._ideal_by_id: dict[int, IdealSet] = {}
-        self._vertices: dict[str, tuple[int, ...]] = {}
+        self._rep_by_id: dict[int, int] = {}
+        self._relations: dict[str, Callable[[int, int], bool]] = {}
+        self._vertices: Optional[tuple[int, ...]] = None
         self._graphs: dict[tuple[int, str], GraphLevel] = {}
         self._lock = threading.Lock()
 
     # vertex sets ---------------------------------------------------------
 
     def vertices(self, kind: str) -> tuple[int, ...]:
-        got = self._vertices.get(kind)
+        """The vertex set, which both kinds share (see the module docstring)."""
+        if kind not in (COZERO, ZERO):
+            raise ValueError(f"unknown graph kind {kind!r}")
+        got = self._vertices
         if got is not None:
             return got
         with self._lock:
-            got = self._vertices.get(kind)
-            if got is not None:
-                return got
-            ring, J = self.ring, self.J
-            out = []
-            if kind == COZERO:
-                one = ring.one
-                for x in range(ring.size):
-                    if J.contains(x):
-                        continue
-                    if not ideal_sum(J, (x,)).contains(one):
-                        out.append(x)
-            elif kind == ZERO:
-                cand = [x for x in range(ring.size) if not J.contains(x)]
-                for x in cand:
-                    if any(J.contains(ring.mul(x, y)) for y in cand):
-                        out.append(x)
-            else:
-                raise ValueError(f"unknown graph kind {kind!r}")
-            got = tuple(out)
-            self._vertices[kind] = got
-            return got
+            if self._vertices is None:
+                J, one = self.J, self.ring.one
+                self._vertices = tuple(
+                    x
+                    for x in range(self.ring.size)
+                    if not J.contains(x) and not ideal_sum(J, (x,)).contains(one)
+                )
+            return self._vertices
 
     # trajectories --------------------------------------------------------
 
@@ -182,8 +181,10 @@ class LevelContext:
         horizon = t_val + p_val
         ideals = [principal_plus(x, m, J) for m in range(1, horizon + 1)]
         ids = [I.ideal_id for I in ideals]
-        for I in ideals:
-            self._ideal_by_id.setdefault(I.ideal_id, I)
+        for m, I in enumerate(ideals, 1):
+            if I.ideal_id not in self._ideal_by_id:
+                self._ideal_by_id[I.ideal_id] = I
+                self._rep_by_id[I.ideal_id] = ring.pow(x, m)
         # minimal period of the eventual cycle divides the value period
         cycle = ids[t_val:]
         period = p_val
@@ -211,38 +212,43 @@ class LevelContext:
     # adjacency -----------------------------------------------------------
 
     def _incomparable(self, a: int, b: int) -> bool:
-        if a == b:
+        return not self._ideal_by_id[a].comparable(self._ideal_by_id[b])
+
+    def _annihilating(self, a: int, b: int) -> bool:
+        jid = self.J.ideal_id
+        if a == jid or b == jid:
             return False
-        key = (a, b) if a < b else (b, a)
-        got = self._cmp.get(key)
-        if got is None:
-            got = not self._ideal_by_id[a].comparable(self._ideal_by_id[b])
-            self._cmp[key] = got
-        return got
+        return self.J.contains(self.ring.mul(self._rep_by_id[a], self._rep_by_id[b]))
+
+    def relation(self, kind: str) -> Callable[[int, int], bool]:
+        """The cached symmetric relation on ideal ids that decides adjacency."""
+        got = self._relations.get(kind)
+        if got is not None:
+            return got
+        if kind == COZERO:
+            test = self._incomparable
+        elif kind == ZERO:
+            test = self._annihilating
+        else:
+            raise ValueError(f"unknown graph kind {kind!r}")
+        cache: dict[tuple[int, int], bool] = {}
+
+        def related(a: int, b: int) -> bool:
+            key = (a, b) if a < b else (b, a)
+            hit = cache.get(key)
+            if hit is None:
+                hit = cache[key] = test(a, b)
+            return hit
+
+        return self._relations.setdefault(kind, related)
 
     def adjacent(self, x: int, y: int, i: int, kind: str) -> bool:
         if x == y:
             return False
-        if kind == COZERO:
-            sx = self.trajectory(x).ids_up_to(i)
-            sy = self.trajectory(y).ids_up_to(i)
-            return any(self._incomparable(a, b) for a in sx for b in sy)
-        ring, J = self.ring, self.J
-        tx = self.trajectory(x)
-        ty = self.trajectory(y)
-        nx = min(i, len(tx.ideal_ids))
-        ny = min(i, len(ty.ideal_ids))
-        jid = self.J.ideal_id
-        for n in range(1, nx + 1):
-            if tx.id_at(n) == jid:
-                continue
-            xn = ring.pow(x, n)
-            for m in range(1, ny + 1):
-                if ty.id_at(m) == jid:
-                    continue
-                if J.contains(ring.mul(xn, ring.pow(y, m))):
-                    return True
-        return False
+        related = self.relation(kind)
+        sx = self.trajectory(x).ids_up_to(i)
+        sy = self.trajectory(y).ids_up_to(i)
+        return any(related(a, b) for a in sx for b in sy)
 
     def stabilization_bound(self) -> int:
         verts = self.vertices(COZERO)
@@ -316,26 +322,16 @@ def build_level(ring: Ring, J: IdealSet, i: Level, kind: str = COZERO) -> GraphL
     concrete = ctx._graphs.get((lvl, kind))
     if concrete is None:
         verts = ctx.vertices(kind)
-        # warm the per-vertex ideal caches before the pair loop
-        for v in verts:
-            ctx.trajectory(v)
+        related = ctx.relation(kind)
+        id_sets = [tuple(ctx.trajectory(v).ids_up_to(lvl)) for v in verts]
         n = len(verts)
         rows = [0] * n
-        if kind == COZERO:
-            id_sets = [tuple(ctx.trajectory(v).ids_up_to(lvl)) for v in verts]
-            incomparable = ctx._incomparable
-            for a in range(n):
-                sa = id_sets[a]
-                for b in range(a + 1, n):
-                    if any(incomparable(p, q) for p in sa for q in id_sets[b]):
-                        rows[a] |= 1 << b
-                        rows[b] |= 1 << a
-        else:
-            for a in range(n):
-                for b in range(a + 1, n):
-                    if ctx.adjacent(verts[a], verts[b], lvl, kind):
-                        rows[a] |= 1 << b
-                        rows[b] |= 1 << a
+        for a in range(n):
+            sa = id_sets[a]
+            for b in range(a + 1, n):
+                if any(related(p, q) for p in sa for q in id_sets[b]):
+                    rows[a] |= 1 << b
+                    rows[b] |= 1 << a
         concrete = GraphLevel(
             ring=ring,
             ideal=J,
@@ -379,6 +375,3 @@ def minimal_stabilization_index(ring: Ring, J: IdealSet, kind: str = COZERO) -> 
             break
     return sharp
 
-
-def zero_ideal_of(ring: Ring) -> IdealSet:
-    return zero_ideal(ring)

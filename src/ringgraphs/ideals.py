@@ -10,7 +10,7 @@ guarded by the ring's lock.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -19,8 +19,8 @@ from .rings import (
     ModularRing,
     ProductRing,
     Ring,
-    build_ring,
     descriptor_string,
+    prime_factorization,
 )
 
 
@@ -35,9 +35,6 @@ class IdealSet:
     generators: tuple[int, ...]
     ideal_id: int
 
-    def __contains__(self, x: int) -> bool:
-        return bool(self.bits >> x & 1)
-
     def contains(self, x: int) -> bool:
         return bool(self.bits >> x & 1)
 
@@ -49,9 +46,6 @@ class IdealSet:
                 yield x
             bits >>= 1
             x += 1
-
-    def member_list(self) -> list[int]:
-        return list(self.members())
 
     @property
     def size(self) -> int:
@@ -335,7 +329,7 @@ def maximal_ideals(ring: Ring) -> list[IdealSet]:
     desc = ring.descriptor
     if isinstance(desc, ModularRing):
         out = []
-        for p in _prime_factors(desc.modulus):
+        for p in prime_factorization(desc.modulus):
             out.append(span(ring, (p % desc.modulus,)))
         return out
     if isinstance(desc, ProductRing):
@@ -357,16 +351,3 @@ def maximal_ideals(ring: Ring) -> list[IdealSet]:
         "maximal ideals are enumerated only for modular rings and their products"
     )
 
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out

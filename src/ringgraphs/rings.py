@@ -22,7 +22,7 @@ import itertools
 import re
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -321,6 +321,20 @@ def descriptor_string(desc: RingDescriptor) -> str:
     return (
         f"Z{desc.coefficient_modulus}[{','.join(desc.variables)}]/({','.join(rels)})"
     )
+
+
+def prime_factorization(n: int) -> dict[int, int]:
+    """Prime -> exponent for n >= 1, primes in increasing order."""
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,11 @@ two nontrivial idempotents at every level; the test re-derives that
 counterexample through the brute-force oracles.
 """
 
+import hashlib
 import itertools
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -387,4 +389,7 @@ def test_a11_verify_determinism_across_runs_and_workers(tmp_path, capsys):
         assert code == 0
         outputs.append(out_path.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
-    print("a11 verify output byte-identical across runs and worker counts: PASS")
+    # the benchmark pins the same report; a byte change must be deliberate
+    pins = json.loads((Path(__file__).parents[1] / "perfbench" / "pins.json").read_text())
+    assert hashlib.sha256(outputs[0]).hexdigest() == pins["verify-grid"]["report_sha256"]
+    print("a11 verify output byte-identical across runs and worker counts and pinned: PASS")

@@ -18,7 +18,8 @@ from ringgraphs.graphs import (
     stabilization_bound,
     vertex_set,
 )
-from ringgraphs.ideals import span, zero_ideal
+from ringgraphs.claims import GRID_RINGS, grid_ideals
+from ringgraphs.ideals import span, span_from_labels, zero_ideal
 from ringgraphs.rings import build_ring
 
 Z12_LEVEL1_EDGES = {
@@ -201,51 +202,52 @@ def test_adjacency_matches_oracle_property(name, i, data):
     )
 
 
+def small_grid():
+    """(ring, J) for each default-grid ring of at most 100 elements and grid ideal."""
+    for name in GRID_RINGS:
+        ring = build_ring(name)
+        if ring.size <= 100:
+            for label in grid_ideals(name):
+                yield ring, span_from_labels(ring, label)
+
+
 def test_power_multiple_descent_property():
-    # if x^n*y is adjacent to y at level 1 then so is every x^(n-k)*y;
-    # with the same-ideal reading the hypothesis cannot fire, so this loop
-    # is a tripwire against adjacency bugs rather than a data check
-    for name in ("Z6", "Z12", "Z24", "Z2xZ2"):
-        ring, J = zero_of(name)
+    # x^n y lies in yR + J, so it is never adjacent to y at level 1; the C-DESC
+    # runner reports VACUOUS on this lemma instead of searching for such a pair
+    for ring, J in small_grid():
         g1 = build_level(ring, J, 1)
         vset = set(g1.vertices)
         for y in g1.vertices:
             for x in range(ring.size):
                 t, p = ring.power_rho(x)
-                for n in range(2, t + p + 1):
+                for n in range(1, t + p + 1):
                     w = ring.mul(ring.pow(x, n), y)
-                    if w == y or w not in vset or not g1.has_edge(w, y):
-                        continue
-                    for k in range(1, n):
-                        w2 = ring.mul(ring.pow(x, n - k), y)
-                        assert w2 != y and w2 in vset and g1.has_edge(w2, y)
+                    assert w == y or w not in vset or not g1.has_edge(w, y)
 
 
 def test_idempotent_descent_property():
-    for name in ("Z6", "Z12", "Z24", "Z2xZ2"):
-        ring, J = zero_of(name)
-        bound = stabilization_bound(ring, J)
-        g_top = build_level(ring, J, bound)
-        g1 = build_level(ring, J, 1)
+    # for an idempotent y, (xy)^m = x^m y lies in y^nR + J, so xy is never
+    # adjacent to y at any level; the C-IDEM runner reports VACUOUS on this lemma
+    for ring, J in small_grid():
+        g_top = build_level(ring, J, stabilization_bound(ring, J))
         vset = set(g_top.vertices)
         for y in g_top.vertices:
             if ring.mul(y, y) != y:
                 continue
             for x in range(ring.size):
                 u = ring.mul(x, y)
-                if u == y or u not in vset or not g_top.has_edge(u, y):
-                    continue
-                assert g1.has_edge(u, y)
+                assert u == y or u not in vset or not g_top.has_edge(u, y)
 
 
 def test_vertex_set_level_independent_and_zero_subset():
-    for name in ("Z6", "Z12", "Z24", "Z4xZ9"):
-        ring, J = zero_of(name)
-        cozero = set(vertex_set(ring, J, COZERO))
-        zero = set(vertex_set(ring, J, ZERO))
-        assert zero <= cozero
+    # in the finite ring R/J a nonzero class is a zero-divisor iff it is not a
+    # unit, so the two kinds share one vertex set
+    for ring, J in small_grid():
+        cozero = vertex_set(ring, J, COZERO)
+        assert vertex_set(ring, J, ZERO) == cozero
+        assert naive_vertices(ring, set(J.members()), ZERO) == list(cozero)
         for i in (1, 3):
-            assert set(build_level(ring, J, i).vertices) == cozero
+            assert build_level(ring, J, i).vertices == cozero
 
 
 def test_graph_json_ordering_invariants():
