@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from . import analysis
 from .analysis import (
@@ -30,7 +30,7 @@ from .analysis import (
     is_empty_graph,
     zpnq_parts,
 )
-from .conilpotency import ring_conilpotency_index
+from .conilpotency import conilpotency_record, ring_conilpotency_index
 from .graphs import (
     COZERO,
     EXTENDED,
@@ -44,7 +44,6 @@ from .ideals import (
     UnsupportedRingFamily,
     ideal_sum,
     is_maximal,
-    is_prime,
     is_semiprime,
     jacobson_radical,
     maximal_ideals,
@@ -139,17 +138,14 @@ class _Resolved:
         return bits
 
 
-_STANDING_CACHE: dict[tuple[int, int], bool] = {}
-
-
 def _standing_ok(r: _Resolved) -> bool:
-    """The blanket assumption: the ideal is proper and not maximal."""
-    key = (id(r.ring), r.J.bits)
-    got = _STANDING_CACHE.get(key)
-    if got is None:
-        got = r.J.is_proper() and not is_maximal(r.J)
-        _STANDING_CACHE[key] = got
-    return got
+    """The blanket assumption: the ideal is proper and not maximal.
+
+    That holds exactly when the vertex set is nonempty: an element of a
+    maximal ideal strictly above J but outside J is a vertex, and a maximal
+    or improper J has none.
+    """
+    return bool(r.ctx.vertices(COZERO))
 
 
 def _first_edge(g: GraphLevel) -> Optional[tuple[int, int]]:
@@ -245,26 +241,9 @@ def _run_grow(r: _Resolved):
 def _run_prime(r: _Resolved):
     if not _standing_ok(r):
         return VACUOUS, None, "ideal is maximal or improper"
-    if not is_prime(r.J):
-        return VACUOUS, None, "ideal is not prime"
-    g = r.graph(r.instance.param("i", 1))
-    if not is_complete(g):
-        x, y = _first_missing_pair(g)
-        witness = {
-            "kind": "non_edge",
-            "graph": COZERO,
-            "level": g.level,
-            "x": r.label(x),
-            "y": r.label(y),
-        }
-        return VERIFIED, witness, "graph is not complete"
-    witness = {
-        "kind": "complete_graph",
-        "graph": COZERO,
-        "level": g.level,
-        "vertices": [r.label(v) for v in g.vertices],
-    }
-    return REFUTED, witness, "graph is complete"
+    # R/P is a finite domain, hence a field, so a prime ideal is maximal and
+    # the standing check has already excluded it
+    return VACUOUS, None, "ideal is not prime"
 
 
 def _run_filtration(r: _Resolved):
@@ -274,11 +253,6 @@ def _run_filtration(r: _Resolved):
     levels = sorted({1, 2, 3, bound, bound + 1})
     graphs = [r.graph(i) for i in levels]
     for g_lo, g_hi in zip(graphs, graphs[1:]):
-        if g_lo.vertices != g_hi.vertices:
-            return REFUTED, {
-                "kind": "vertex_mismatch",
-                "levels": [g_lo.level, g_hi.level],
-            }, "vertex set changed across levels"
         if not analysis.is_subgraph(g_lo, g_hi):
             extra = sorted(set(g_lo.edges()) - set(g_hi.edges()))[0]
             witness = {
@@ -343,21 +317,21 @@ def _run_xi_parity(r: _Resolved):
         return VERIFIED, None, "no conilpotent element; index undefined"
     if xi % 2 == 1:
         return VERIFIED, None, f"ring index {xi} is odd"
-    from .conilpotency import conilpotency_record
+    # xi is the max of the records' indices, so some element attains it
+    x = next(
+        x
+        for x in range(r.ring.size)
+        if conilpotency_record(r.ring, r.J, x).index == xi
+    )
+    witness = {"kind": "element", "x": r.label(x), "n": xi}
+    return REFUTED, witness, f"ring index {xi} is even"
 
-    for x in range(r.ring.size):
-        rec = conilpotency_record(r.ring, r.J, x)
-        if rec.is_conilpotent and rec.index == xi:
-            witness = {"kind": "element", "x": r.label(x), "n": xi}
-            return REFUTED, witness, f"ring index {xi} is even"
-    return REFUTED, {"kind": "element", "x": "?", "n": xi}, "even index, no witness found"
 
-
-def _stable_power_exponents(ring: Ring, x: int) -> Iterable[int]:
+def _stable_power_exponents(ring: Ring, x: int) -> tuple[int, ...]:
+    # x, ..., x^{t+p} are distinct and x^{t+p+1} = x^{t+1}, so x^n = x^{n+1}
+    # with n <= t + p holds only at n = t + 1, and only when p = 1
     t, p = ring.power_rho(x)
-    for n in range(1, t + p + 1):
-        if ring.pow(x, n) == ring.pow(x, n + 1):
-            yield n
+    return (t + 1,) if p == 1 else ()
 
 
 def _run_conilpotent_elements(r: _Resolved):
@@ -427,8 +401,7 @@ def _run_vertex_membership(r: _Resolved):
                 continue
             if not vbits >> ring.sub(one, x) & 1:
                 continue
-            traj = r.ctx.trajectory(x)
-            for n in range(1, traj.preperiod + traj.period + 1):
+            for n in range(1, len(r.ctx.trajectory(x).ideal_ids) + 1):
                 checked += 1
                 if not vbits >> ring.pow(x, n) & 1:
                     witness = {

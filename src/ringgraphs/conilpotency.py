@@ -5,9 +5,10 @@ An element x is conilpotent relative to J when, for some exponent k,
 such k is the element's conilpotency index; the ring's index is the max
 over its conilpotent elements (undefined when there are none).
 
-The exponent search stops at preperiod + period of the power-ideal
-trajectory: past that point both the ideal x^k R + J and the membership
-class of x^k repeat earlier values, so no new witness can appear.
+The exponent search stops at the length of the descending chain x^k R + J,
+which is constant from its first repeat. Both non-memberships depend on x^k
+only through that ideal (R(1 - x) + J contains J, so it holds x^k exactly
+when it contains x^k R + J), so no new witness can appear past the chain.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ class ConilpotencyRecord:
 def conilpotency_record(ring: Ring, J: IdealSet, x: int) -> ConilpotencyRecord:
     """Scan k = 1 .. bound for the defining pair of non-memberships."""
     ctx = level_context(ring, J)
-    traj = ctx.trajectory(x)
-    bound = traj.preperiod + traj.period
+    bound = len(ctx.trajectory(x).ideal_ids)
     one_minus_x = ring.sub(ring.one, x)
     complement_ideal = ideal_sum(J, (one_minus_x,))
     for k in range(1, bound + 1):

@@ -21,12 +21,14 @@ incomparable, the zero kind for a != J, b != J and rep(a) * rep(b) in J,
 where rep(a) is any element generating a over J. The zero relation is exact
 because x^n y^m lies in J iff the product (x^nR + J)(y^mR + J) lies in J.
 
-The per-element sequence of those ideals is eventually periodic, which
-bounds every exponent search and yields the stabilization level at which the
-graphs stop growing. Two consequences decide claims without a search: x^n y
-lies in yR, so a power multiple of y is never adjacent to y at level 1; and
-for an idempotent y, (xy)^m = x^m y lies in y^nR, so xy is never adjacent to
-y at any level.
+The per-element ideals x^mR + J form a descending chain that is constant from
+its first repeat: x^{m+1} = x^m * x gives the inclusion, and if
+x^m = x^{m+1}r + j with j in J, multiplying by x keeps the chain equal from
+then on. The chain's length bounds every exponent search and yields the
+stabilization level at which the graphs stop growing. Two consequences
+decide claims without a search: x^n y lies in yR, so a power multiple of y
+is never adjacent to y at level 1; and for an idempotent y,
+(xy)^m = x^m y lies in y^nR, so xy is never adjacent to y at any level.
 """
 
 from __future__ import annotations
@@ -51,24 +53,20 @@ class NotAVertex(Exception):
 
 @dataclass(frozen=True)
 class PowerTrajectory:
-    """Ideal ids of x^m R + J for m = 1, 2, ... with its eventual cycle.
+    """Ideal ids of x^m R + J for m = 1, 2, ... up to the chain's first repeat.
 
-    ``ideal_ids`` covers m = 1 .. preperiod + period; entries beyond the
-    preperiod repeat with the stated period forever.
+    ``ideal_ids`` is strictly descending and ends at the stable ideal, which
+    every later exponent keeps; ``preperiod`` is ``len(ideal_ids) - 1``.
     """
 
     element: int
     ideal_ids: tuple[int, ...]
     preperiod: int
-    period: int
 
     def id_at(self, m: int) -> int:
         if m < 1:
             raise ValueError("exponent must be >= 1")
-        t, p = self.preperiod, self.period
-        if m <= t + p:
-            return self.ideal_ids[m - 1]
-        return self.ideal_ids[t + (m - t - 1) % p]
+        return self.ideal_ids[min(m, len(self.ideal_ids)) - 1]
 
     def ids_up_to(self, i: int) -> frozenset[int]:
         return frozenset(self.ideal_ids[: min(i, len(self.ideal_ids))])
@@ -177,32 +175,18 @@ class LevelContext:
         if got is not None:
             return got
         ring, J = self.ring, self.J
-        t_val, p_val = ring.power_rho(x)
-        horizon = t_val + p_val
-        ideals = [principal_plus(x, m, J) for m in range(1, horizon + 1)]
-        ids = [I.ideal_id for I in ideals]
-        for m, I in enumerate(ideals, 1):
+        ids: list[int] = []
+        m = 1
+        while True:
+            I = principal_plus(x, m, J)
+            if ids and I.ideal_id == ids[-1]:
+                break
+            ids.append(I.ideal_id)
             if I.ideal_id not in self._ideal_by_id:
                 self._ideal_by_id[I.ideal_id] = I
                 self._rep_by_id[I.ideal_id] = ring.pow(x, m)
-        # minimal period of the eventual cycle divides the value period
-        cycle = ids[t_val:]
-        period = p_val
-        for cand in range(1, p_val + 1):
-            if p_val % cand == 0 and all(
-                cycle[k] == cycle[k % cand] for k in range(len(cycle))
-            ):
-                period = cand
-                break
-        pre = t_val
-        while pre > 0 and ids[pre - 1] == ids[pre - 1 + period]:
-            pre -= 1
-        traj = PowerTrajectory(
-            element=x,
-            ideal_ids=tuple(ids[: pre + period]),
-            preperiod=pre,
-            period=period,
-        )
+            m += 1
+        traj = PowerTrajectory(element=x, ideal_ids=tuple(ids), preperiod=len(ids) - 1)
         self._traj[x] = traj
         return traj
 
@@ -254,8 +238,7 @@ class LevelContext:
         verts = self.vertices(COZERO)
         bound = 1
         for x in verts:
-            t = self.trajectory(x)
-            bound = max(bound, t.preperiod + t.period)
+            bound = max(bound, len(self.trajectory(x).ideal_ids))
         return bound
 
 
@@ -285,15 +268,15 @@ def vertex_set(ring: Ring, J: IdealSet, kind: str = COZERO) -> tuple[int, ...]:
 
 
 def power_trajectory(ring: Ring, J: IdealSet, x: int) -> PowerTrajectory:
-    """Eventually periodic sequence of ideals x^m R + J."""
+    """The descending chain of ideals x^m R + J up to its first repeat."""
     return level_context(ring, J).trajectory(x)
 
 
 def stabilization_bound(ring: Ring, J: IdealSet) -> int:
     """A level at and beyond which every level graph is the same.
 
-    Takes the max of preperiod + period over the vertex trajectories: past
-    that exponent no new power ideal (hence no new adjacency witness) exists.
+    Takes the max chain length over the vertex trajectories: past that
+    exponent no new power ideal (hence no new adjacency witness) exists.
     """
     return level_context(ring, J).stabilization_bound()
 

@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import naive_adjacent, naive_edges, naive_vertices
+from oracles import coset_set, naive_adjacent, naive_edges, naive_vertices
 from ringgraphs.graphs import (
     COZERO,
     EXTENDED,
@@ -19,7 +19,16 @@ from ringgraphs.graphs import (
     vertex_set,
 )
 from ringgraphs.claims import GRID_RINGS, grid_ideals
-from ringgraphs.ideals import span, span_from_labels, zero_ideal
+from ringgraphs.ideals import (
+    UnsupportedRingFamily,
+    is_maximal,
+    maximal_ideals,
+    principal_plus,
+    span,
+    span_from_labels,
+    unit_ideal,
+    zero_ideal,
+)
 from ringgraphs.rings import build_ring
 
 Z12_LEVEL1_EDGES = {
@@ -89,15 +98,15 @@ def test_build_level_single_vertex():
 def test_power_trajectory_examples():
     z12, J = zero_of("Z12")
     t10 = power_trajectory(z12, J, 10)
-    assert (t10.preperiod, t10.period) == (1, 1)
+    assert (t10.preperiod, len(t10.ideal_ids)) == (1, 2)
     ideals = [set(span(z12, [10]).members()), {0, 4, 8}]
     assert t10.id_at(1) != t10.id_at(2)
     assert t10.id_at(2) == t10.id_at(3) == t10.id_at(9)
     t6 = power_trajectory(z12, J, 6)
-    assert (t6.preperiod, t6.period) == (1, 1)
+    assert (t6.preperiod, len(t6.ideal_ids)) == (1, 2)
     z8, J8 = zero_of("Z8")
     t2 = power_trajectory(z8, J8, 2)
-    assert (t2.preperiod, t2.period) == (2, 1)
+    assert (t2.preperiod, len(t2.ideal_ids)) == (2, 3)
 
 
 def test_stabilization_bound_examples():
@@ -202,13 +211,53 @@ def test_adjacency_matches_oracle_property(name, i, data):
     )
 
 
-def small_grid():
-    """(ring, J) for each default-grid ring of at most 100 elements and grid ideal."""
+def small_rings():
+    """(name, ring) for each default-grid ring of at most 100 elements."""
     for name in GRID_RINGS:
         ring = build_ring(name)
         if ring.size <= 100:
-            for label in grid_ideals(name):
-                yield ring, span_from_labels(ring, label)
+            yield name, ring
+
+
+def small_grid():
+    """(ring, J) for each default-grid ring of at most 100 elements and grid ideal."""
+    for name, ring in small_rings():
+        for label in grid_ideals(name):
+            yield ring, span_from_labels(ring, label)
+
+
+def test_power_trajectory_is_descending_chain():
+    # x^{m+1}R + J lies in x^mR + J and the chain is constant from its first
+    # repeat, so the trajectory stops there; the value cycle's horizon
+    # t + p + 1 from power_rho checks the tail independently
+    for ring, J in small_grid():
+        j_members = set(J.members())
+        for x in vertex_set(ring, J):
+            traj = power_trajectory(ring, J, x)
+            ids = traj.ideal_ids
+            assert len(set(ids)) == len(ids)
+            assert traj.preperiod == len(ids) - 1
+            t, p = ring.power_rho(x)
+            for m in range(1, t + p + 2):
+                ideal = principal_plus(x, m, J)
+                assert ideal.ideal_id == traj.id_at(m)
+                if m <= len(ids) + 1:
+                    expected = coset_set(ring, j_members, ring.pow(x, m))
+                    assert set(ideal.members()) == expected
+
+
+def test_vertex_set_nonempty_iff_proper_non_maximal():
+    # some maximal M above a proper non-maximal J has an element outside J,
+    # and that element is a vertex; the claims' standing check relies on this
+    for name, ring in small_rings():
+        ideals = [span_from_labels(ring, label) for label in grid_ideals(name)]
+        try:
+            ideals += maximal_ideals(ring)
+        except UnsupportedRingFamily:
+            pass
+        ideals.append(unit_ideal(ring))
+        for J in ideals:
+            assert bool(vertex_set(ring, J)) == (J.is_proper() and not is_maximal(J))
 
 
 def test_power_multiple_descent_property():
