@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
-
-import numpy as np
+from typing import Iterable, Iterator
 
 from .rings import (
     ModularRing,
@@ -28,6 +26,16 @@ class UnsupportedRingFamily(Exception):
     """Raised when an operation needs ring structure we do not enumerate."""
 
 
+def _indices(bits: int) -> Iterator[int]:
+    """The positions of the set bits, in increasing order."""
+    x = 0
+    while bits:
+        if bits & 1:
+            yield x
+        bits >>= 1
+        x += 1
+
+
 @dataclass(frozen=True, eq=False)
 class IdealSet:
     ring: Ring
@@ -39,13 +47,7 @@ class IdealSet:
         return bool(self.bits >> x & 1)
 
     def members(self) -> Iterator[int]:
-        bits = self.bits
-        x = 0
-        while bits:
-            if bits & 1:
-                yield x
-            bits >>= 1
-            x += 1
+        return _indices(self.bits)
 
     @property
     def size(self) -> int:
@@ -97,100 +99,56 @@ def _intern(ring: Ring, bits: int, generators: tuple[int, ...]) -> IdealSet:
 # Span
 # ---------------------------------------------------------------------------
 
-def _span_bits_worklist(ring: Ring, seeds: Iterable[int], base_bits: int = 1) -> int:
-    """Worklist closure under addition and multiplication by every element."""
-    bits = base_bits | 1  # 0 always belongs
-    work = list(seeds)
-    carrier = range(ring.size)
-    while work:
-        e = work.pop()
-        if bits >> e & 1:
-            continue
-        # close under ring multiples of the new element
-        for r in carrier:
-            m = ring.mul(r, e)
-            if not bits >> m & 1:
-                work.append(m)
-        # close under addition with everything already present
-        rest = bits
-        x = 0
-        while rest:
-            if rest & 1:
-                s = ring.add(e, x)
-                if not bits >> s & 1:
-                    work.append(s)
-            rest >>= 1
-            x += 1
-        bits |= 1 << e
-        # the popped element may appear in work again; harmless
-    return bits
-
-
-_MODULAR_BITS_CACHE: dict[tuple[int, int], int] = {}
-
-
-def _modular_ideal_bits(n: int, d: int) -> int:
-    # multiples of d modulo n, as a bitset
-    d = math.gcd(d, n)
-    if d == 0:
-        d = n
-    got = _MODULAR_BITS_CACHE.get((n, d))
-    if got is None:
-        got = 0
-        for k in range(0, n, d):
-            got |= 1 << k
-        _MODULAR_BITS_CACHE[(n, d)] = got
-    return got
-
-
-def _span_bits(ring: Ring, values: tuple[int, ...], extra: Optional[IdealSet]) -> int:
+def _span_bits(ring: Ring, values: tuple[int, ...], base_bits: int) -> int:
+    """Bits of the ideal J + <values>, where ``base_bits`` are the bits of J."""
     desc = ring.descriptor
     if isinstance(desc, ModularRing):
-        d = desc.modulus
-        for v in values:
-            d = math.gcd(d, v)
-        if extra is not None:
-            low = extra.bits & ~1
-            if low:
-                smallest = (low & -low).bit_length() - 1
-                d = math.gcd(d, smallest)
-        return _modular_ideal_bits(desc.modulus, d)
+        # ideals of Z_n are dZ_n with d | n; J's least nonzero member generates J
+        n = desc.modulus
+        low = base_bits & ~1
+        d = math.gcd(n, *values, (low & -low).bit_length() - 1 if low else 0)
+        return ((1 << n) - 1) // ((1 << d) - 1)
     if isinstance(desc, ProductRing):
-        # an ideal of a finite product is the product of component ideals
-        factors = ring.factor_rings
-        comp_values = [tuple(ring.decode(v)[i] for v in values) for i in range(len(factors))]
-        comp_extra: list[Optional[IdealSet]] = [None] * len(factors)
-        if extra is not None:
-            for i, f in enumerate(factors):
-                cbits = 0
-                for m in extra.members():
-                    cbits |= 1 << ring.decode(m)[i]
-                comp_extra[i] = _intern(f, cbits, ())
-        comp_bits = [
-            _span_bits(f, comp_values[i], comp_extra[i]) for i, f in enumerate(factors)
-        ]
-        members_per_factor = [
-            [x for x in range(cb.bit_length()) if cb >> x & 1] for cb in comp_bits
-        ]
-        bits = 0
-        from itertools import product as iproduct
-
-        for combo in iproduct(*members_per_factor):
-            bits |= 1 << ring.encode(tuple(combo))
+        # an ideal of a finite product is the product of its projections; a
+        # member's index is sum(c_i * w_i) over its components c_i and the
+        # mixed-radix weights w_i, so each factor shifts the partial product
+        coords = [ring.decode(v) for v in values]
+        base_coords = [ring.decode(a) for a in _indices(base_bits)]
+        bits = 1
+        for i, (f, w) in enumerate(zip(ring.factor_rings, ring._weights)):
+            cbase = 0
+            for c in base_coords:
+                cbase |= 1 << c[i]
+            cbits = _span_bits(f, tuple(c[i] for c in coords), cbase)
+            layer = 0
+            for c in _indices(cbits):
+                layer |= bits << (c * w)
+            bits = layer
         return bits
-    base = extra.bits if extra is not None else 1
-    return _span_bits_worklist(ring, values, base)
+    # the monomials span R over Z_m, so Rv is the Z_m-span of the mono*v
+    gens = {ring.mul(ring.m**k, v) for k in range(len(ring.monomials)) for v in values}
+    members = list(_indices(base_bits))
+    bits = base_bits
+    for g in gens:
+        if bits >> g & 1:
+            continue
+        for a in members:  # grows while walked, so this closes under +g
+            s = ring.add(a, g)
+            if not bits >> s & 1:
+                bits |= 1 << s
+                members.append(s)
+    return bits
 
 
 def span(ring: Ring, generators: Iterable[int]) -> IdealSet:
     """Smallest ideal containing the generators, interned.
 
-    Modular and product rings use exact closed forms (validated against the
-    generic worklist closure in the test suite); quotient rings run the
-    worklist directly.
+    Z_n takes the multiples of a gcd, a product ring the product of its
+    factors' spans, and a quotient ring the additive closure of the
+    generators' monomial multiples.
     """
     gens = tuple(sorted({g for g in generators if g != ring.zero}))
-    bits = _span_bits(ring, gens, None)
+    bits = _span_bits(ring, gens, 1)
     return _intern(ring, bits, gens)
 
 
@@ -210,7 +168,7 @@ def ideal_sum(J: IdealSet, values: Iterable[int]) -> IdealSet:
         return J
     if all(J.contains(v) for v in vals):
         return J
-    bits = _span_bits(ring, vals, J)
+    bits = _span_bits(ring, vals, J.bits)
     gens = tuple(sorted(set(J.generators) | set(vals)))
     return _intern(ring, bits, gens)
 
@@ -276,27 +234,22 @@ def is_semiprime(J: IdealSet) -> bool:
 
 
 def jacobson_radical(ring: Ring) -> IdealSet:
-    """Elements x with 1 - x*r a unit for every r, as an ideal."""
+    """The Jacobson radical, which for a finite ring is its nilradical.
+
+    A finite ring is Artinian, so its Jacobson radical equals its nilradical.
+    A nilpotent x with x^k = 0 and x^(k-1) != 0 gives the strict chain
+    R > xR > ... > x^kR = 0 (an equal step x^jR = x^(j+1)R would make x^j
+    a multiple of every higher power of x, hence 0), and each step at least
+    halves the size, so 2^k <= |R| and x^bit_length(|R|) = 0.
+    """
     cached = getattr(ring, "_jacobson", None)
     if cached is not None:
         return cached
-    units = ring.unit_bits()
-    one = ring.one
-    desc = ring.descriptor
+    k = ring.size.bit_length()
     bits = 0
-    if isinstance(desc, ModularRing) and ring.size > 512:
-        n = desc.modulus
-        rs = np.arange(n, dtype=np.int64)
-        unit_mask = np.array([bool(units >> i & 1) for i in range(n)])
-        for x in range(n):
-            if unit_mask[(one - x * rs) % n].all():
-                bits |= 1 << x
-    else:
-        for x in range(ring.size):
-            if all(
-                units >> ring.sub(one, ring.mul(x, r)) & 1 for r in range(ring.size)
-            ):
-                bits |= 1 << x
+    for x in range(ring.size):
+        if ring.pow(x, k) == ring.zero:
+            bits |= 1 << x
     gens = _greedy_generators(ring, bits)
     result = _intern(ring, bits, gens)
     ring._jacobson = result
@@ -312,7 +265,7 @@ def _greedy_generators(ring: Ring, bits: int) -> tuple[int, ...]:
     while rest:
         if rest & 1 and not have >> x & 1:
             gens.append(x)
-            have = _span_bits(ring, tuple(gens), None)
+            have = _span_bits(ring, tuple(gens), 1)
             if have == bits:
                 break
         rest >>= 1

@@ -19,12 +19,11 @@ e.g. ``Z12``, ``Z4xZ9``, ``Z2[x,y]/(x^3,y^2)``, ``Z3[t]/(t^2+1)``.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 import threading
 from dataclasses import dataclass
 from typing import Optional, Union
-
-import numpy as np
 
 CARRIER_CAP = 65536
 
@@ -476,13 +475,9 @@ class _ModularRingOps(Ring):
         return int(s) % self.n
 
     def _compute_unit_bits(self):
-        n = self.n
-        if n <= 512:
-            return super()._compute_unit_bits()
-        rs = np.arange(n, dtype=np.int64)
         bits = 0
-        for x in range(n):
-            if ((x * rs) % n == 1).any():
+        for x in range(self.n):
+            if math.gcd(x, self.n) == 1:
                 bits |= 1 << x
         return bits
 
@@ -646,18 +641,6 @@ class _QuotientRingOps(Ring):
     def parse_label(self, text):
         terms = parse_poly(text, self.variables)
         return self.encode_digits(self._reduce(terms))
-
-    def _compute_unit_bits(self):
-        bits = 0
-        for x in range(self.size):
-            row = self._mul_rows.get(x)
-            if row is not None:
-                if self.one in row:
-                    bits |= 1 << x
-                continue
-            if any(self.mul(x, r) == self.one for r in range(self.size)):
-                bits |= 1 << x
-        return bits
 
 
 _RING_CACHE: dict[RingDescriptor, Ring] = {}

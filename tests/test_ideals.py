@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from oracles import closure_span, linear_combinations_span
+from oracles import closure_span, coset_set, linear_combinations_span
 from ringgraphs.ideals import (
     UnsupportedRingFamily,
     ideal_sum,
@@ -21,7 +21,17 @@ from ringgraphs.ideals import (
 )
 from ringgraphs.rings import build_ring
 
-ORACLE_RINGS = ["Z6", "Z12", "Z18", "Z2xZ2", "Z4xZ9", "Z4[x]/(x^2)", "Z2[x]/(x^2)"]
+ORACLE_RINGS = [
+    "Z6",
+    "Z12",
+    "Z18",
+    "Z2xZ2",
+    "Z4xZ9",
+    "Z4[x]/(x^2)",
+    "Z2[x]/(x^2)",
+    "Z4[t]/(t^2+t+1)",
+    "Z2[x,y]/(x^2,y^2)",
+]
 
 
 def members(ideal):
@@ -82,6 +92,7 @@ def test_principal_plus_contains_power_and_ideal(name):
                 I = principal_plus(x, n, J)
                 assert J.issubset(I)
                 assert I.contains(ring.pow(x, n))
+                assert members(I) == coset_set(ring, set(J.members()), ring.pow(x, n))
 
 
 def test_is_maximal_examples():
@@ -126,6 +137,7 @@ def test_jacobson_examples():
     assert members(jacobson_radical(build_ring("Z12"))) == {0, 6}
     assert members(jacobson_radical(build_ring("Z8"))) == {0, 2, 4, 6}
     assert members(jacobson_radical(build_ring("Z5"))) == {0}
+    assert members(jacobson_radical(build_ring("Z1000"))) == set(range(0, 1000, 10))
 
 
 @pytest.mark.parametrize("name", ORACLE_RINGS)
@@ -194,6 +206,17 @@ def test_span_from_labels():
     assert members(span_from_labels(z12, "6,4")) == {0, 2, 4, 6, 8, 10}
     p = build_ring("Z2xZ2")
     assert members(span_from_labels(p, "(0,1)")) == {0, 1}
+
+
+def test_product_ideal_sum_interns_nothing_in_factors():
+    ring = build_ring("Z49xZ11")
+    before = [len(f.ideal_intern) for f in ring.factor_rings]
+    J = span(ring, [ring.parse_label("(7,0)")])
+    I = ideal_sum(J, (ring.parse_label("(0,1)"),))
+    assert {ring.label(x) for x in I.members()} == {
+        f"({7 * a},{b})" for a in range(7) for b in range(11)
+    }
+    assert [len(f.ideal_intern) for f in ring.factor_rings] == before
 
 
 def test_ideal_sum_absorbs_members():
