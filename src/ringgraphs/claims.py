@@ -36,8 +36,10 @@ from .graphs import (
     EXTENDED,
     ZERO,
     GraphLevel,
+    adjacent,
     build_level,
     level_context,
+    vertex_set,
 )
 from .ideals import (
     IdealSet,
@@ -47,10 +49,11 @@ from .ideals import (
     is_semiprime,
     jacobson_radical,
     maximal_ideals,
+    principal_plus,
     span,
     span_from_labels,
 )
-from .rings import ModularRing, Ring, build_ring, prime_factorization
+from .rings import ModularRing, ParseError, Ring, build_ring, prime_factorization
 
 VERIFIED = "VERIFIED"
 REFUTED = "REFUTED"
@@ -152,6 +155,17 @@ def _first_edge(g: GraphLevel) -> Optional[tuple[int, int]]:
     return next(iter(g.edges()), None)
 
 
+def _pair_witness(kind: str, g: GraphLevel, x: int, y: int, **extra) -> dict:
+    """A witness naming the vertex pair x, y of g; replay_witness re-checks it."""
+    label = g.ring.label
+    witness = {"kind": kind, "graph": g.kind, "level": g.level, "x": label(x), "y": label(y)}
+    return {**witness, **extra}
+
+
+def _element_witness(r: _Resolved, x: int, n: int, condition: str) -> dict:
+    return {"kind": "element", "x": r.label(x), "n": n, "condition": condition}
+
+
 def _first_missing_pair(g: GraphLevel) -> Optional[tuple[int, int]]:
     verts = g.vertices
     for i, x in enumerate(verts):
@@ -176,15 +190,7 @@ def _run_empty(r: _Resolved):
     g = r.graph(r.instance.param("i", 1))
     if is_empty_graph(g):
         return VERIFIED, None, f"|V|={len(g.vertices)}, no edges"
-    x, y = _first_edge(g)
-    witness = {
-        "kind": "edge",
-        "graph": COZERO,
-        "level": g.level,
-        "x": r.label(x),
-        "y": r.label(y),
-    }
-    return REFUTED, witness, "an edge exists"
+    return REFUTED, _pair_witness("edge", g, *_first_edge(g)), "an edge exists"
 
 
 def _run_grow(r: _Resolved):
@@ -214,27 +220,11 @@ def _run_grow(r: _Resolved):
         }, "levels n-1 and n coincide"
     u = (p ** (n - 1) * q) % desc.modulus
     v = p % desc.modulus
-    pair_ok = (not g_lo.has_edge(u, v)) and g_hi.has_edge(u, v)
-    if pair_ok:
-        witness = {
-            "kind": "edge",
-            "graph": COZERO,
-            "level": n,
-            "x": r.label(u),
-            "y": r.label(v),
-            "absent_at_level": n - 1,
-        }
+    if not g_lo.has_edge(u, v) and g_hi.has_edge(u, v):
+        witness = _pair_witness("edge", g_hi, u, v, absent_at_level=n - 1)
         return VERIFIED, witness, "levels differ; the expected pair is the new edge"
-    new = sorted(set(g_hi.edges()) - set(g_lo.edges()))
-    x, y = new[0]
-    witness = {
-        "kind": "edge",
-        "graph": COZERO,
-        "level": n,
-        "x": r.label(x),
-        "y": r.label(y),
-        "absent_at_level": n - 1,
-    }
+    x, y = sorted(set(g_hi.edges()) - set(g_lo.edges()))[0]
+    witness = _pair_witness("edge", g_hi, x, y, absent_at_level=n - 1)
     return VERIFIED, witness, "levels differ (expected pair did not witness it)"
 
 
@@ -254,15 +244,8 @@ def _run_filtration(r: _Resolved):
     graphs = [r.graph(i) for i in levels]
     for g_lo, g_hi in zip(graphs, graphs[1:]):
         if not analysis.is_subgraph(g_lo, g_hi):
-            extra = sorted(set(g_lo.edges()) - set(g_hi.edges()))[0]
-            witness = {
-                "kind": "edge",
-                "graph": COZERO,
-                "level": g_lo.level,
-                "x": r.label(extra[0]),
-                "y": r.label(extra[1]),
-                "absent_at_level": g_hi.level,
-            }
+            x, y = sorted(set(g_lo.edges()) - set(g_hi.edges()))[0]
+            witness = _pair_witness("edge", g_lo, x, y, absent_at_level=g_hi.level)
             return REFUTED, witness, "edge lost at a higher level"
     return VERIFIED, None, f"chain verified across levels {levels}"
 
@@ -294,16 +277,9 @@ def _run_tripartite(r: _Resolved):
             "level": g.level,
             "parts": part_labels,
         }, "complete tripartite with the valuation parts"
-    x, y = verdict.witness
-    witness = {
-        "kind": "partition_pair",
-        "graph": COZERO,
-        "level": g.level,
-        "x": r.label(x),
-        "y": r.label(y),
-        "reason": verdict.reason,
-        "parts": part_labels,
-    }
+    witness = _pair_witness(
+        "partition_pair", g, *verdict.witness, reason=verdict.reason, parts=part_labels
+    )
     return REFUTED, witness, f"partition claim fails: {verdict.reason}"
 
 
@@ -351,20 +327,10 @@ def _run_conilpotent_elements(r: _Resolved):
             checked += 1
             power_ideal = r.ctx.ideal_of_power(x, n)
             if power_ideal.contains(one_minus):
-                witness = {
-                    "kind": "element",
-                    "x": r.label(x),
-                    "n": n,
-                    "condition": "1-x inside x^n R + J",
-                }
+                witness = _element_witness(r, x, n, "1-x inside x^n R + J")
                 return REFUTED, witness, "first non-membership fails"
             if complement.contains(ring.pow(x, n)):
-                witness = {
-                    "kind": "element",
-                    "x": r.label(x),
-                    "n": n,
-                    "condition": "x^n inside R(1-x) + J",
-                }
+                witness = _element_witness(r, x, n, "x^n inside R(1-x) + J")
                 return REFUTED, witness, "second non-membership fails"
     if checked == 0:
         return VACUOUS, None, "no non-unit outside the radical has a stable power"
@@ -386,12 +352,9 @@ def _run_vertex_membership(r: _Resolved):
                 continue
             checked += 1
             if not vbits >> ring.sub(one, x) & 1:
-                witness = {
-                    "kind": "element",
-                    "x": r.label(x),
-                    "n": n,
-                    "condition": "1-x not a vertex despite stable vertex power",
-                }
+                witness = _element_witness(
+                    r, x, n, "1-x not a vertex despite stable vertex power"
+                )
                 return REFUTED, witness, "forward membership fails"
     # with J inside the radical, 1 - x a vertex forces every power in
     jac = jacobson_radical(ring)
@@ -404,12 +367,9 @@ def _run_vertex_membership(r: _Resolved):
             for n in range(1, len(r.ctx.trajectory(x).ideal_ids) + 1):
                 checked += 1
                 if not vbits >> ring.pow(x, n) & 1:
-                    witness = {
-                        "kind": "element",
-                        "x": r.label(x),
-                        "n": n,
-                        "condition": "x^n not a vertex despite 1-x being one",
-                    }
+                    witness = _element_witness(
+                        r, x, n, "x^n not a vertex despite 1-x being one"
+                    )
                     return REFUTED, witness, "reverse membership fails"
     if checked == 0:
         return VACUOUS, None, "no element satisfies either hypothesis"
@@ -489,6 +449,16 @@ def check_bipartite_iff(
     Side A: the level graph with radical vertices removed is complete
     bipartite with parts m1 and m2 minus the radical. Side B: power ideals
     of same-part vertices are pairwise comparable for all exponents <= i.
+
+    A part member x lies outside the radical, hence outside J, and
+    xR + J lies in m1 or m2, so x is a vertex; two vertices are adjacent at
+    level i exactly when some x^nR + J and y^mR + J with n, m <= i are
+    incomparable. So side B says that no edge of the level graph joins two
+    members of one part. Side A forbids those edges too, so A implies B,
+    and only B without A can refute the equivalence. B also leaves no vertex
+    off the radical outside the parts: R/J is a product of local rings, and a
+    third factor would put the idempotents of two factors other than m1's,
+    whose ideals are incomparable, into part 1.
     Returns (status, witness, detail).
     """
     jac = jacobson_radical(ring)
@@ -496,81 +466,29 @@ def check_bipartite_iff(
         return VACUOUS, None, "ideal is not inside the radical"
     if not (is_maximal(m1) and is_maximal(m2)) or m1.bits == m2.bits:
         return VACUOUS, None, "supplied ideals are not two distinct maximal ideals"
-    ctx = level_context(ring, J)
     part1 = tuple(x for x in m1.members() if not jac.contains(x))
     part2 = tuple(x for x in m2.members() if not jac.contains(x))
     g = build_level(ring, J, i, COZERO)
-    keep = {v for v in g.vertices if not jac.contains(v)}
-    restricted = induced_subgraph(g, keep)
-    side_a = True
-    witness_a: Optional[dict] = None
-    expected = set(part1) | set(part2)
-    if set(restricted.vertices) != expected:
-        stray = sorted(set(restricted.vertices) ^ expected)[0]
-        side_a = False
-        witness_a = {
-            "kind": "vertex_mismatch",
-            "x": ring.label(stray),
-            "level": i,
-        }
-    else:
-        verdict = check_partition_claim(restricted, PartitionWitness((part1, part2)))
-        if not verdict.holds:
-            side_a = False
-            x, y = verdict.witness
-            witness_a = {
-                "kind": "partition_pair",
-                "graph": COZERO,
-                "level": i,
-                "x": ring.label(x),
-                "y": ring.label(y),
-                "reason": verdict.reason,
-                "parts": [
-                    [ring.label(v) for v in part1],
-                    [ring.label(v) for v in part2],
-                ],
-            }
-    side_b = True
-    witness_b: Optional[dict] = None
-    for part in (part1, part2):
-        for ai, x in enumerate(part):
-            for y in part[ai:]:
-                for n in range(1, i + 1):
-                    for m in range(1, i + 1):
-                        ix = ctx.ideal_of_power(x, n)
-                        iy = ctx.ideal_of_power(y, m)
-                        if not ix.comparable(iy):
-                            side_b = False
-                            witness_b = {
-                                "kind": "incomparable_ideals",
-                                "x": ring.label(x),
-                                "n": n,
-                                "y": ring.label(y),
-                                "m": m,
-                            }
-                            break
-                    if not side_b:
-                        break
-                if not side_b:
-                    break
-            if not side_b:
-                break
-        if not side_b:
-            break
-    if side_a == side_b:
-        verdict_word = "hold" if side_a else "fail"
-        return (
-            VERIFIED,
-            None,
-            f"both sides {verdict_word}: equivalence confirmed at level {i}",
-        )
-    if side_b:
-        witness = dict(witness_a or {})
-        witness["direction"] = "ordered ideals but not complete bipartite"
-    else:
-        witness = dict(witness_b or {})
-        witness["direction"] = "complete bipartite but ideals not ordered"
+    if _edge_inside(g, part1) or _edge_inside(g, part2):
+        return VERIFIED, None, f"both sides fail: equivalence confirmed at level {i}"
+    restricted = induced_subgraph(g, set(part1) | set(part2))
+    verdict = check_partition_claim(restricted, PartitionWitness((part1, part2)))
+    if verdict.holds:
+        return VERIFIED, None, f"both sides hold: equivalence confirmed at level {i}"
+    witness = _pair_witness(
+        "partition_pair",
+        restricted,
+        *verdict.witness,
+        reason=verdict.reason,
+        parts=[[ring.label(v) for v in part] for part in (part1, part2)],
+        direction="ordered ideals but not complete bipartite",
+    )
     return REFUTED, witness, "the two sides disagree"
+
+
+def _edge_inside(g: GraphLevel, part: tuple[int, ...]) -> bool:
+    mask = sum(1 << g.position_of(x) for x in part)
+    return any(g.rows[g.position_of(x)] & mask for x in part)
 
 
 def _run_zero_divisor_completeness(r: _Resolved):
@@ -583,14 +501,7 @@ def _run_zero_divisor_completeness(r: _Resolved):
     g_z = r.graph(i, ZERO)
     if is_complete(g_z):
         return VERIFIED, None, f"both graphs complete at level {g_z.level}"
-    x, y = _first_missing_pair(g_z)
-    witness = {
-        "kind": "non_edge",
-        "graph": ZERO,
-        "level": g_z.level,
-        "x": r.label(x),
-        "y": r.label(y),
-    }
+    witness = _pair_witness("non_edge", g_z, *_first_missing_pair(g_z))
     return REFUTED, witness, "zero-divisor graph is not complete"
 
 
@@ -870,10 +781,25 @@ def default_grid() -> list[ClaimInstance]:
 
 def load_grid(path: str) -> list[ClaimInstance]:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"grid file is not valid JSON: {exc}") from exc
     if not isinstance(data, list):
-        raise ValueError("grid file must be a JSON array of instances")
-    return [ClaimInstance.from_dict(d) for d in data]
+        raise ParseError("grid file must be a JSON array of instances")
+    instances = []
+    for d in data:
+        if not isinstance(d, dict) or "claim" not in d or "ring" not in d:
+            raise ParseError(f"grid entry {d!r} needs a 'claim' and a 'ring'")
+        if d["claim"] not in CATALOG:
+            raise ParseError(f"unknown claim id {d['claim']!r}")
+        params = d.get("params") or {}
+        if not isinstance(params, dict) or not all(
+            v in ("ext", EXTENDED) or (type(v) is int and v >= 1) for v in params.values()
+        ):
+            raise ParseError(f"grid entry {d!r} needs params that are levels or integers >= 1")
+        instances.append(ClaimInstance.from_dict(d))
+    return instances
 
 
 def dump_grid(instances: list[ClaimInstance]) -> str:
@@ -885,12 +811,13 @@ def dump_grid(instances: list[ClaimInstance]) -> str:
 # ---------------------------------------------------------------------------
 
 def replay_witness(report: ClaimReport) -> bool:
-    """Re-check a report's witness through the public graph operations."""
+    """Re-check a report's witness through the public graph operations.
+
+    Unknown witness kinds do not replay.
+    """
     w = report.witness
     if w is None:
         return True
-    from . import graphs as graph_ops
-
     ring = build_ring(report.instance.ring)
     J = span_from_labels(ring, report.instance.ideal)
     kind = w.get("graph", COZERO)
@@ -898,31 +825,91 @@ def replay_witness(report: ClaimReport) -> bool:
     wkind = w.get("kind")
     if wkind == "edge":
         x, y = ring.parse_label(w["x"]), ring.parse_label(w["y"])
-        ok = graph_ops.adjacent(ring, J, x, y, level, kind)
+        ok = adjacent(ring, J, x, y, level, kind)
         if "absent_at_level" in w:
-            ok = ok and not graph_ops.adjacent(
-                ring, J, x, y, w["absent_at_level"], kind
-            )
+            ok = ok and not adjacent(ring, J, x, y, w["absent_at_level"], kind)
         return ok
     if wkind in ("non_edge", "partition_pair"):
         x, y = ring.parse_label(w["x"]), ring.parse_label(w["y"])
-        edge = graph_ops.adjacent(ring, J, x, y, level, kind)
-        if wkind == "partition_pair" and w.get("reason") == "edge inside a part":
-            return edge
-        return not edge
+        edge = adjacent(ring, J, x, y, level, kind)
+        if wkind == "non_edge":
+            return not edge
+        part_of = {lbl: k for k, part in enumerate(w["parts"]) for lbl in part}
+        same = part_of.get(w["x"]) == part_of.get(w["y"])
+        if w.get("reason") == "edge inside a part":
+            return edge and same
+        return not edge and not same
     if wkind == "complete_graph":
         g = build_level(ring, J, level, kind)
         return is_complete(g) and [ring.label(v) for v in g.vertices] == w["vertices"]
-    if wkind == "incomparable_ideals":
-        ctx = level_context(ring, J)
-        ix = ctx.ideal_of_power(ring.parse_label(w["x"]), w["n"])
-        iy = ctx.ideal_of_power(ring.parse_label(w["y"]), w["m"])
-        return not ix.comparable(iy)
     if wkind == "partition":
         g = build_level(ring, J, level, kind)
         parts = PartitionWitness(
             tuple(tuple(ring.parse_label(v) for v in part) for part in w["parts"])
         )
-        return check_partition_claim(g, parts).holds
-    # element-style witnesses document hypothesis data; nothing graph-level
-    return True
+        try:
+            return check_partition_claim(g, parts).holds
+        except analysis.InvalidPartition:
+            return False
+    if wkind == "graphs_equal":
+        lo, hi = w["levels"]
+        return analysis.graph_equals(
+            build_level(ring, J, lo, kind), build_level(ring, J, hi, kind)
+        )
+    if wkind == "arity":
+        try:
+            parts = zpnq_parts(ring)
+        except analysis.NotZpnqForm:
+            return False
+        labels = [[ring.label(v) for v in part] for part in parts.parts]
+        return parts.arity == w["arity"] != 3 and labels == w["parts"]
+    if wkind == "element":
+        return _replay_element(ring, J, w)
+    return False
+
+
+def _replay_element(ring: Ring, J: IdealSet, w: dict) -> bool:
+    """Re-check an element witness: its hypotheses, and the failed condition."""
+    x, n = ring.parse_label(w["x"]), w["n"]
+    if n < 1:
+        return False
+    condition = w.get("condition")
+    if condition is None:
+        # C-XI: the ring index is even and attained at x
+        xi = ring_conilpotency_index(ring, J)
+        return n % 2 == 0 and conilpotency_record(ring, J, x).index == n == xi
+    xn, one_minus = ring.pow(x, n), ring.sub(ring.one, x)
+    verts = set(vertex_set(ring, J))
+    jac = jacobson_radical(ring)
+    if condition == "x^n not a vertex despite 1-x being one":
+        return (
+            J.issubset(jac)
+            and not ring.is_unit(x)
+            and one_minus in verts
+            and xn not in verts
+        )
+    if xn != ring.pow(x, n + 1):
+        return False
+    if condition == "1-x not a vertex despite stable vertex power":
+        return xn in verts and one_minus not in verts
+    # the remaining conditions belong to C-CONIL and C-ADJ17
+    if not J.issubset(jac) or ring.is_unit(x) or jac.contains(x):
+        return False
+    if condition == "1-x inside x^n R + J":
+        return principal_plus(x, n, J).contains(one_minus)
+    if condition == "x^n inside R(1-x) + J":
+        return ideal_sum(J, (one_minus,)).contains(xn)
+    if w.get("pair") != [ring.label(xn), ring.label(one_minus)]:
+        return False
+    if condition == "x^n equals 1-x":
+        return xn == one_minus
+    pair_in = xn in verts and one_minus in verts
+    if condition == "pair not inside the vertex set":
+        return xn != one_minus and not pair_in
+    if condition == "pair not adjacent at level 1":
+        return (
+            xn != one_minus
+            and pair_in
+            and not adjacent(ring, J, xn, one_minus, 1)
+        )
+    return False

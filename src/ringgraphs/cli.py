@@ -6,7 +6,7 @@ radical and xi expose the ideal-theoretic helpers, verify runs a claim grid,
 and export re-emits a saved graph JSON in another format.
 
 Exit codes: 0 success, 1 a verify run disagreed with a pinned expectation,
-2 malformed input (grammar, carrier cap, unsupported ring family).
+2 malformed input (grammar, carrier cap, unsupported ring family, bad files).
 """
 
 from __future__ import annotations
@@ -21,17 +21,20 @@ from .analysis import NotZpnqForm
 from .conilpotency import conilpotency_record, ring_conilpotency_index
 from .graphs import COZERO, EXTENDED, ZERO, build_level, minimal_stabilization_index, stabilization_bound
 from .ideals import UnsupportedRingFamily, jacobson_radical, span_from_labels
-from .rings import RingError, build_ring, descriptor_string
+from .rings import ParseError, RingError, build_ring, descriptor_string
 
-_INPUT_ERRORS = (RingError, UnsupportedRingFamily, NotZpnqForm, ValueError, OSError)
+_INPUT_ERRORS = (RingError, UnsupportedRingFamily, NotZpnqForm, OSError)
 
 
 def _parse_level(text: str):
     if text.lower() in ("ext", "extended"):
         return EXTENDED
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise ParseError(f"level must be an integer or 'ext', not {text!r}") from exc
     if value < 1:
-        raise ValueError("level must be >= 1 or 'ext'")
+        raise ParseError("level must be >= 1 or 'ext'")
     return value
 
 

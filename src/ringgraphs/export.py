@@ -69,7 +69,12 @@ def load_graph_json(text: Union[str, dict]) -> GraphLevel:
     The adjacency is taken from the file, not recomputed, so round-trip
     comparisons exercise the exporter for real.
     """
-    data = json.loads(text) if isinstance(text, str) else text
+    try:
+        data = json.loads(text) if isinstance(text, str) else text
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"graph JSON is malformed: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ParseError("graph JSON must be an object")
     try:
         ring = build_ring(data["ring"])
         gens = [ring.parse_label(lbl) for lbl in data["ideal"]]
@@ -82,13 +87,17 @@ def load_graph_json(text: Union[str, dict]) -> GraphLevel:
     pos = {v: k for k, v in enumerate(vertices)}
     rows = [0] * len(vertices)
     for pair in data["edges"]:
-        x, y = (ring.parse_label(lbl) for lbl in pair)
-        if x not in pos or y not in pos:
-            raise ParseError(f"edge {pair} references a non-vertex")
+        ends = [ring.parse_label(lbl) for lbl in pair]
+        if len(ends) != 2 or not all(v in pos for v in ends):
+            raise ParseError(f"edge {pair} must join two vertices")
+        x, y = ends
         rows[pos[x]] |= 1 << pos[y]
         rows[pos[y]] |= 1 << pos[x]
     requested_extended = level_field == EXTENDED
-    level = 0 if requested_extended else int(level_field)
+    try:
+        level = 0 if requested_extended else int(level_field)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"graph JSON has a bad level {level_field!r}") from exc
     return GraphLevel(
         ring=ring,
         ideal=ideal,

@@ -21,6 +21,15 @@ incomparable, the zero kind for a != J, b != J and rep(a) * rep(b) in J,
 where rep(a) is any element generating a over J. The zero relation is exact
 because x^n y^m lies in J iff the product (x^nR + J)(y^mR + J) lies in J.
 
+Adjacency at level i therefore depends on x only through its signature, the
+ids of x^mR + J for m <= i, and vertices sharing a signature are twins. A
+level graph is a blow-up of the small graph on signature classes (the
+compressed zero-divisor graph of Mulay and of Anderson--LaGrange), so
+``build_level`` decides the relation once per unordered class pair and
+expands each row from its class's neighbour mask. A class can be adjacent to
+itself in the zero kind (x^n x^m in J), never in the cozero kind, because the
+ideals of one chain are pairwise comparable.
+
 The per-element ideals x^mR + J form a descending chain that is constant from
 its first repeat: x^{m+1} = x^m * x gives the inclusion, and if
 x^m = x^{m+1}r + j with j in J, multiplying by x keeps the chain equal from
@@ -67,9 +76,6 @@ class PowerTrajectory:
         if m < 1:
             raise ValueError("exponent must be >= 1")
         return self.ideal_ids[min(m, len(self.ideal_ids)) - 1]
-
-    def ids_up_to(self, i: int) -> frozenset[int]:
-        return frozenset(self.ideal_ids[: min(i, len(self.ideal_ids))])
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,9 +125,6 @@ class GraphLevel:
     def degree(self, x: int) -> int:
         return self.rows[self.position_of(x)].bit_count()
 
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges())
-
     def __repr__(self):
         ring = descriptor_string(self.ring.descriptor)
         lvl = EXTENDED if self.requested_extended else self.level
@@ -136,7 +139,7 @@ class GraphLevel:
 # ---------------------------------------------------------------------------
 
 class LevelContext:
-    """Shared trajectory and id-pair relation caches for one (ring, J) pair."""
+    """Shared trajectory, ideal-by-id and built-graph caches for one (ring, J) pair."""
 
     def __init__(self, ring: Ring, J: IdealSet):
         self.ring = ring
@@ -144,7 +147,6 @@ class LevelContext:
         self._traj: dict[int, PowerTrajectory] = {}
         self._ideal_by_id: dict[int, IdealSet] = {}
         self._rep_by_id: dict[int, int] = {}
-        self._relations: dict[str, Callable[[int, int], bool]] = {}
         self._vertices: Optional[tuple[int, ...]] = None
         self._graphs: dict[tuple[int, str], GraphLevel] = {}
         self._lock = threading.Lock()
@@ -205,34 +207,21 @@ class LevelContext:
         return self.J.contains(self.ring.mul(self._rep_by_id[a], self._rep_by_id[b]))
 
     def relation(self, kind: str) -> Callable[[int, int], bool]:
-        """The cached symmetric relation on ideal ids that decides adjacency."""
-        got = self._relations.get(kind)
-        if got is not None:
-            return got
+        """The symmetric relation on ideal ids that decides adjacency."""
         if kind == COZERO:
-            test = self._incomparable
-        elif kind == ZERO:
-            test = self._annihilating
-        else:
-            raise ValueError(f"unknown graph kind {kind!r}")
-        cache: dict[tuple[int, int], bool] = {}
-
-        def related(a: int, b: int) -> bool:
-            key = (a, b) if a < b else (b, a)
-            hit = cache.get(key)
-            if hit is None:
-                hit = cache[key] = test(a, b)
-            return hit
-
-        return self._relations.setdefault(kind, related)
+            return self._incomparable
+        if kind == ZERO:
+            return self._annihilating
+        raise ValueError(f"unknown graph kind {kind!r}")
 
     def adjacent(self, x: int, y: int, i: int, kind: str) -> bool:
         if x == y:
             return False
-        related = self.relation(kind)
-        sx = self.trajectory(x).ids_up_to(i)
-        sy = self.trajectory(y).ids_up_to(i)
-        return any(related(a, b) for a in sx for b in sy)
+        return _prefixes_related(
+            self.relation(kind),
+            self.trajectory(x).ideal_ids[:i],
+            self.trajectory(y).ideal_ids[:i],
+        )
 
     def stabilization_bound(self) -> int:
         verts = self.vertices(COZERO)
@@ -240,6 +229,13 @@ class LevelContext:
         for x in verts:
             bound = max(bound, len(self.trajectory(x).ideal_ids))
         return bound
+
+
+def _prefixes_related(
+    related: Callable[[int, int], bool], sa: tuple[int, ...], sb: tuple[int, ...]
+) -> bool:
+    """Some id of one signature prefix is related to some id of the other."""
+    return any(related(p, q) for p in sa for q in sb)
 
 
 _CONTEXTS: dict[tuple[int, int], LevelContext] = {}
@@ -306,15 +302,23 @@ def build_level(ring: Ring, J: IdealSet, i: Level, kind: str = COZERO) -> GraphL
     if concrete is None:
         verts = ctx.vertices(kind)
         related = ctx.relation(kind)
-        id_sets = [tuple(ctx.trajectory(v).ids_up_to(lvl)) for v in verts]
-        n = len(verts)
-        rows = [0] * n
-        for a in range(n):
-            sa = id_sets[a]
-            for b in range(a + 1, n):
-                if any(related(p, q) for p in sa for q in id_sets[b]):
-                    rows[a] |= 1 << b
-                    rows[b] |= 1 << a
+        # twin classes: signature -> class index, and each class's member mask
+        classes: dict[tuple[int, ...], int] = {}
+        class_of = [
+            classes.setdefault(ctx.trajectory(v).ideal_ids[:lvl], len(classes))
+            for v in verts
+        ]
+        members = [0] * len(classes)
+        for k, c in enumerate(class_of):
+            members[c] |= 1 << k
+        signatures = list(classes)
+        neighbours = [0] * len(classes)
+        for a, sa in enumerate(signatures):
+            for b in range(a, len(signatures)):
+                if _prefixes_related(related, sa, signatures[b]):
+                    neighbours[a] |= members[b]
+                    neighbours[b] |= members[a]
+        rows = [neighbours[c] & ~(1 << k) for k, c in enumerate(class_of)]
         concrete = GraphLevel(
             ring=ring,
             ideal=J,
@@ -338,21 +342,13 @@ def build_level(ring: Ring, J: IdealSet, i: Level, kind: str = COZERO) -> GraphL
     return concrete
 
 
-def build_extended(ring: Ring, J: IdealSet, kind: str = COZERO) -> GraphLevel:
-    return build_level(ring, J, EXTENDED, kind)
-
-
-def same_edges(g1: GraphLevel, g2: GraphLevel) -> bool:
-    return g1.vertices == g2.vertices and g1.rows == g2.rows
-
-
 def minimal_stabilization_index(ring: Ring, J: IdealSet, kind: str = COZERO) -> int:
     """Smallest level whose graph already equals the stabilized limit."""
     bound = stabilization_bound(ring, J)
     limit = build_level(ring, J, bound, kind)
     sharp = bound
     for i in range(bound - 1, 0, -1):
-        if same_edges(build_level(ring, J, i, kind), limit):
+        if build_level(ring, J, i, kind).rows == limit.rows:
             sharp = i
         else:
             break

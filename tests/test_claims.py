@@ -1,16 +1,20 @@
 """Claim verifier: catalog runners, grids, suite determinism, witnesses."""
 
+import copy
+import itertools
 import json
 
 import pytest
 
 from ringgraphs.claims import (
     CATALOG,
+    GRID_RINGS,
     REFUTED,
     UNSUPPORTED,
     VACUOUS,
     VERIFIED,
     ClaimInstance,
+    ClaimReport,
     check_bipartite_iff,
     default_grid,
     dump_grid,
@@ -21,7 +25,17 @@ from ringgraphs.claims import (
     run_suite,
     suite_to_json,
 )
-from ringgraphs.ideals import jacobson_radical, maximal_ideals, span, zero_ideal
+from ringgraphs.graphs import stabilization_bound, vertex_set
+from ringgraphs.ideals import (
+    UnsupportedRingFamily,
+    is_maximal,
+    jacobson_radical,
+    maximal_ideals,
+    principal_plus,
+    span,
+    span_from_labels,
+    zero_ideal,
+)
 from ringgraphs.rings import build_ring
 
 
@@ -133,6 +147,75 @@ def test_check_bipartite_iff_direct():
     assert status == VACUOUS
 
 
+def brute_bipartite_sides(ring, J, m1, m2, i):
+    """Side A and side B of C-BIP straight from the definitions."""
+    jac = jacobson_radical(ring)
+    part1 = [x for x in m1.members() if not jac.contains(x)]
+    part2 = [x for x in m2.members() if not jac.contains(x)]
+    powers = {
+        x: [principal_plus(x, n, J) for n in range(1, i + 1)]
+        for x in set(vertex_set(ring, J)) | set(part1) | set(part2)
+    }
+
+    def adjacent_at_i(x, y):
+        return any(not a.comparable(b) for a in powers[x] for b in powers[y])
+
+    def same_part(x, y):
+        return {x, y} <= set(part1) or {x, y} <= set(part2)
+
+    off_radical = [v for v in vertex_set(ring, J) if not jac.contains(v)]
+    side_a = set(off_radical) == set(part1) | set(part2) and all(
+        adjacent_at_i(x, y) != same_part(x, y)
+        for x, y in itertools.combinations(off_radical, 2)
+    )
+    side_b = all(
+        a.comparable(b)
+        for part in (part1, part2)
+        for x, y in itertools.combinations_with_replacement(part, 2)
+        for a in powers[x]
+        for b in powers[y]
+    )
+    return side_a, side_b
+
+
+def test_check_bipartite_iff_matches_brute_force_sides():
+    # side B is read off the level graph and only B without A refutes; the
+    # brute force decides both sides from power ideals, over every ideal
+    # inside the radical, every ordered pair of maximal ideals and levels
+    # 1 .. bound + 1, on rings with two, three and four maximal ideals
+    # Z2[x,y]/(x^3+x,y^2) is Z2[y]/(y^2) x Z2[t,y]/(t^2,y^2): side B holds in
+    # the part of the first factor's maximal ideal and fails in the other
+    hand_maxima = {"Z2[x,y]/(x^3+x,y^2)": [["x", "y"], ["x+1", "y"]]}
+    cases = 0
+    for name in GRID_RINGS + ["Z30", "Z60", "Z72", "Z100", "Z120", "Z210", "Z2xZ3xZ5",
+                              "Z4xZ3xZ5", "Z2xZ8", *hand_maxima]:
+        ring = build_ring(name)
+        if name in hand_maxima:
+            maxima = [span_from_labels(ring, ",".join(g)) for g in hand_maxima[name]]
+            assert all(is_maximal(m) for m in maxima)
+        else:
+            try:
+                maxima = maximal_ideals(ring)
+            except UnsupportedRingFamily:
+                continue
+        jac = jacobson_radical(ring)
+        inside = {span(ring, [x]).bits: span(ring, [x]) for x in jac.members()}
+        for J in inside.values():
+            for m1, m2 in itertools.permutations(maxima, 2):
+                for i in range(1, stabilization_bound(ring, J) + 2):
+                    side_a, side_b = brute_bipartite_sides(ring, J, m1, m2, i)
+                    if side_a == side_b:
+                        word = "hold" if side_a else "fail"
+                        detail = f"both sides {word}: equivalence confirmed at level {i}"
+                        expected = (VERIFIED, detail)
+                    else:
+                        expected = (REFUTED, "the two sides disagree")
+                    status, _, detail = check_bipartite_iff(ring, J, m1, m2, i)
+                    assert (status, detail) == expected, (name, J.bits, i)
+                    cases += 1
+    assert cases >= 350, cases
+
+
 def test_bipartite_parts_exclude_radical():
     z12 = build_ring("Z12")
     jac = jacobson_radical(z12)
@@ -201,6 +284,75 @@ def test_refuted_witnesses_replay(tmp_path):
         assert report.status == REFUTED
         assert report.witness is not None
         assert replay_witness(report)
+
+
+def with_witness(report, **changes):
+    witness = copy.deepcopy(report.witness)
+    witness.update(changes)
+    return ClaimReport(report.instance, report.status, witness, report.detail)
+
+
+def made_report(claim, ring, witness, ideal="0"):
+    return ClaimReport(inst(claim, ring, ideal), REFUTED, witness)
+
+
+ELEMENT_CONDITIONS = [
+    "1-x inside x^n R + J",
+    "x^n inside R(1-x) + J",
+    "1-x not a vertex despite stable vertex power",
+    "x^n not a vertex despite 1-x being one",
+    "x^n equals 1-x",
+    "pair not inside the vertex set",
+    "pair not adjacent at level 1",
+]
+
+
+def test_tampered_witnesses_do_not_replay():
+    grow = run_claim(inst("C-GROW", "Z12", p=2, q=3, n=2))
+    tri = run_claim(inst("C-TRI", "Z12", p=2, q=3, n=2))
+    arity = run_claim(inst("C-TRI", "Z6", p=2, q=3, n=1))
+    semi = run_claim(inst("C-SEMI", "Z2xZ2", i=2))
+    assert arity.witness["kind"] == "arity" and arity.witness["arity"] == 2
+    # levels 2 and 3 of Z12 coincide (its bound is 2); Z6 at level 1 is complete
+    # bipartite on {2, 4} and {3}; 2 and 3 are not zero-adjacent at level 1
+    equal = made_report("C-GROW", "Z12", {"kind": "graphs_equal", "graph": "cozero",
+                                          "levels": [2, 3]})
+    partition = made_report("C-TRI", "Z6", {"kind": "partition", "graph": "cozero",
+                                            "level": 1, "parts": [["2", "4"], ["3"]]})
+    non_edge = made_report("C-ZDGC", "Z12", {"kind": "non_edge", "graph": "zero",
+                                             "level": 1, "x": "2", "y": "3"})
+    genuine = [grow, tri, arity, semi, equal, partition, non_edge]
+    for report in genuine:
+        assert replay_witness(report), report.witness
+
+    # 4 = 4^2 in Z12 and 1 - 4 = 9, so each element condition is checked on a
+    # stable power whose hypotheses hold; x = 1 is a unit and breaks them
+    elements = [
+        made_report("C-CONIL", "Z12", {"kind": "element", "x": "4", "n": 1,
+                                       "pair": ["4", "9"], "condition": condition})
+        for condition in ELEMENT_CONDITIONS
+    ]
+    tampered = elements + [
+        with_witness(grow, level=1),
+        with_witness(tri, reason="edge inside a part"),
+        with_witness(tri, parts=[["3", "6", "9"], ["2", "4", "8", "10"]]),
+        with_witness(arity, arity=3),
+        with_witness(arity, parts=list(reversed(arity.witness["parts"]))),
+        with_witness(semi, vertices=["(0,1)"]),
+        with_witness(equal, levels=[1, 2]),
+        with_witness(partition, parts=[["2"], ["3", "4"]]),
+        with_witness(partition, parts=[["2"], ["3"]]),
+        with_witness(non_edge, level=2),
+        made_report("C-XI", "Z12", {"kind": "element", "x": "5", "n": 2}, ideal="6"),
+        made_report("C-CONIL", "Z6", {"kind": "element", "x": "1", "n": 1,
+                                      "condition": "1-x inside x^n R + J"}),
+        made_report("C-ADJ17", "Z12", {"kind": "element", "x": "4", "n": 1,
+                                       "pair": ["9", "4"],
+                                       "condition": "pair not adjacent at level 1"}),
+        made_report("C-EMPTY", "Z12", {"kind": "no_such_kind"}),
+    ]
+    for report in tampered:
+        assert not replay_witness(report), report.witness
 
 
 def test_grid_file_round_trip(tmp_path):

@@ -207,3 +207,55 @@ def test_build_outputs_are_deterministic(capsys):
 def test_missing_grid_file(capsys):
     code, _, err = run_cli(capsys, "verify", "--grid", "/nonexistent/grid.json")
     assert code == 2
+
+
+def test_internal_value_error_is_not_reported_as_bad_input(monkeypatch, capsys):
+    # exit code 2 means malformed input; a ValueError raised inside the
+    # library is a bug and must surface instead
+    def broken(*args, **kwargs):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr("ringgraphs.cli.build_level", broken)
+    with pytest.raises(ValueError):
+        main(["build", "--ring", "Z12", "--i", "2"])
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [{"claim": "C-NOPE", "ring": "Z12"}],
+        [{"ring": "Z12"}],
+        [{"claim": "C-EMPTY", "ring": "Z27", "params": {"i": "x"}}],
+        [{"claim": "C-TRI", "ring": "Z12", "params": {"n": 0}}],
+        {"claim": "C-EMPTY", "ring": "Z27"},
+        "[{",
+    ],
+    ids=["unknown-claim", "no-claim", "level-not-int", "n-zero", "not-a-list", "not-json"],
+)
+def test_verify_malformed_grid_exits_2(tmp_path, capsys, payload):
+    path = tmp_path / "grid.json"
+    text = payload if isinstance(payload, str) else json.dumps(payload)
+    path.write_text(text, encoding="utf-8")
+    code, _, err = run_cli(capsys, "verify", "--grid", str(path))
+    assert code == 2
+    assert "error" in err
+
+
+@pytest.mark.parametrize("text", [
+    "{",
+    '{"ring": "Z12", "ideal": [], "vertices": [], "edges": [], "kind": "cozero", "i": "two"}',
+    '{"ring": "Z12", "ideal": [], "vertices": ["2", "3", "4"], "edges": [["2", "3", "4"]], '
+    '"kind": "cozero", "i": 1}',
+], ids=["not-json", "level-not-int", "three-ended-edge"])
+def test_export_malformed_graph_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "g.json"
+    path.write_text(text, encoding="utf-8")
+    code, _, err = run_cli(capsys, "export", "--in", str(path))
+    assert code == 2
+    assert "error" in err
+
+
+def test_exit_code_on_non_integer_level(capsys):
+    code, _, err = run_cli(capsys, "build", "--ring", "Z12", "--i", "two")
+    assert code == 2
+    assert "error" in err

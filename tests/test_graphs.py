@@ -142,6 +142,51 @@ def test_level_one_matches_plain_membership_rule():
             assert g1.has_edge(x, y) == plain
 
 
+def test_build_level_rows_match_pairwise_rule():
+    # build_level expands rows from twin classes; here every vertex pair is
+    # decided by the definition over principal_plus, with no trajectories or
+    # classes: cozero asks for incomparable ideals, zero for both powers
+    # outside J with their product inside
+    for name in GRID_RINGS:
+        ring = build_ring(name)
+        for label in grid_ideals(name):
+            J = span_from_labels(ring, label)
+            levels = sorted({1, 2, 3, 4, 5, stabilization_bound(ring, J)})
+            exps = range(levels[-1])
+            verts = vertex_set(ring, J)
+            powers = [[ring.pow(x, m + 1) for m in exps] for x in verts]
+            ideals = [[principal_plus(x, m + 1, J) for m in exps] for x in verts]
+
+            def cozero(a, b, m, n):
+                return not ideals[a][m].comparable(ideals[b][n])
+
+            def zero(a, b, m, n):
+                xm, yn = powers[a][m], powers[b][n]
+                return (
+                    not J.contains(xm)
+                    and not J.contains(yn)
+                    and J.contains(ring.mul(xm, yn))
+                )
+
+            for kind, rule in ((COZERO, cozero), (ZERO, zero)):
+                # the least level at which each pair becomes adjacent
+                first = {
+                    (a, b): min(
+                        (max(m, n) + 1 for m in exps for n in exps if rule(a, b, m, n)),
+                        default=None,
+                    )
+                    for a, b in itertools.combinations(range(len(verts)), 2)
+                }
+                for lvl in levels:
+                    rows = [0] * len(verts)
+                    for (a, b), f in first.items():
+                        if f is not None and f <= lvl:
+                            rows[a] |= 1 << b
+                            rows[b] |= 1 << a
+                    g = build_level(ring, J, lvl, kind)
+                    assert g.rows == tuple(rows), (name, label, kind, lvl)
+
+
 ORACLE_CASES = ["Z6", "Z12", "Z4", "Z9", "Z2xZ2", "Z4[x]/(x^2)", "Z18"]
 
 
