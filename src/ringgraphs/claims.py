@@ -38,6 +38,7 @@ from .graphs import (
     GraphLevel,
     adjacent,
     build_level,
+    later_items,
     level_context,
     vertex_set,
 )
@@ -155,6 +156,18 @@ def _first_edge(g: GraphLevel) -> Optional[tuple[int, int]]:
     return next(iter(g.edges()), None)
 
 
+def _first_edge_missing_from(g: GraphLevel, other: GraphLevel) -> tuple[int, int]:
+    """The first edge of g, in carrier order, that other lacks.
+
+    The two graphs are levels over one (ring, J), so they share their vertex
+    tuple and a position means the same vertex in both.
+    """
+    for k, (row, other_row) in enumerate(zip(g.rows, other.rows)):
+        for y in later_items(row & ~other_row, k, g.vertices):
+            return g.vertices[k], y
+    raise ValueError("every edge of g is an edge of other")
+
+
 def _pair_witness(kind: str, g: GraphLevel, x: int, y: int, **extra) -> dict:
     """A witness naming the vertex pair x, y of g; replay_witness re-checks it."""
     label = g.ring.label
@@ -223,7 +236,7 @@ def _run_grow(r: _Resolved):
     if not g_lo.has_edge(u, v) and g_hi.has_edge(u, v):
         witness = _pair_witness("edge", g_hi, u, v, absent_at_level=n - 1)
         return VERIFIED, witness, "levels differ; the expected pair is the new edge"
-    x, y = sorted(set(g_hi.edges()) - set(g_lo.edges()))[0]
+    x, y = _first_edge_missing_from(g_hi, g_lo)
     witness = _pair_witness("edge", g_hi, x, y, absent_at_level=n - 1)
     return VERIFIED, witness, "levels differ (expected pair did not witness it)"
 
@@ -244,7 +257,7 @@ def _run_filtration(r: _Resolved):
     graphs = [r.graph(i) for i in levels]
     for g_lo, g_hi in zip(graphs, graphs[1:]):
         if not analysis.is_subgraph(g_lo, g_hi):
-            x, y = sorted(set(g_lo.edges()) - set(g_hi.edges()))[0]
+            x, y = _first_edge_missing_from(g_lo, g_hi)
             witness = _pair_witness("edge", g_lo, x, y, absent_at_level=g_hi.level)
             return REFUTED, witness, "edge lost at a higher level"
     return VERIFIED, None, f"chain verified across levels {levels}"
@@ -791,6 +804,8 @@ def load_grid(path: str) -> list[ClaimInstance]:
     for d in data:
         if not isinstance(d, dict) or "claim" not in d or "ring" not in d:
             raise ParseError(f"grid entry {d!r} needs a 'claim' and a 'ring'")
+        if not all(isinstance(d.get(key, ""), str) for key in ("claim", "ring", "ideal")):
+            raise ParseError(f"grid entry {d!r} needs 'claim', 'ring' and 'ideal' strings")
         if d["claim"] not in CATALOG:
             raise ParseError(f"unknown claim id {d['claim']!r}")
         params = d.get("params") or {}

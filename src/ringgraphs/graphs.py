@@ -44,7 +44,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Union
+from itertools import compress
+from typing import Callable, Iterator, Optional, Sequence, TypeVar, Union
 
 from .ideals import IdealSet, ideal_sum, principal_plus
 from .rings import Ring, descriptor_string
@@ -54,10 +55,28 @@ ZERO = "zero"
 EXTENDED = "extended"
 
 Level = Union[int, str]
+T = TypeVar("T")
 
 
 class NotAVertex(Exception):
     """Adjacency was queried for an element outside the vertex set."""
+
+
+# maps the digits of a binary numeral to the bytes 0 and 1
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def later_items(row: int, k: int, items: Sequence[T]) -> Iterator[T]:
+    """The ``items[j]`` with j > k and bit j of ``row`` set, in order of j.
+
+    With ``row = rows[k]`` and ``items`` indexed like the vertices, this is
+    what each writer needs from vertex k's later neighbours, so every
+    unordered edge is met once, in carrier-index order. The bits are read off
+    the row's binary numeral in one pass, not by shifting the row once per
+    position.
+    """
+    bits = f"{row >> (k + 1):b}"[::-1].encode().translate(_BIT_BYTES)
+    return compress(items[k + 1 :], bits)
 
 
 @dataclass(frozen=True)
@@ -109,14 +128,10 @@ class GraphLevel:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Unordered edges as element pairs, sorted by carrier index."""
-        for i, v in enumerate(self.vertices):
-            row = self.rows[i] >> (i + 1)
-            j = i + 1
-            while row:
-                if row & 1:
-                    yield (v, self.vertices[j])
-                row >>= 1
-                j += 1
+        verts = self.vertices
+        for k, row in enumerate(self.rows):
+            for w in later_items(row, k, verts):
+                yield (verts[k], w)
 
     @property
     def edge_count(self) -> int:

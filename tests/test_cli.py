@@ -7,8 +7,8 @@ import pytest
 from ringgraphs.analysis import graph_equals
 from ringgraphs.cli import main
 from ringgraphs.export import graph_to_dot, graph_to_json, load_graph_json
-from ringgraphs.graphs import build_level
-from ringgraphs.ideals import zero_ideal
+from ringgraphs.graphs import EXTENDED, build_level
+from ringgraphs.ideals import span_from_labels, zero_ideal
 from ringgraphs.rings import build_ring
 
 
@@ -47,16 +47,23 @@ def test_build_json_z9(capsys):
 
 
 def test_json_round_trip(tmp_path, capsys):
-    path = tmp_path / "g.json"
-    code, _, _ = run_cli(
-        capsys, "build", "--ring", "Z24", "--i", "2", "--format", "json",
-        "--out", str(path),
-    )
-    assert code == 0
-    loaded = load_graph_json(path.read_text(encoding="utf-8"))
-    ring = build_ring("Z24")
-    built = build_level(ring, zero_ideal(ring), 2)
-    assert graph_equals(loaded, built)
+    for name, ideal, level, kind in [
+        ("Z24", "0", "2", "cozero"),
+        ("Z4xZ9", "0", "ext", "cozero"),
+        ("Z2[x,y]/(x^3,y^2)", "y", "2", "zero"),
+    ]:
+        path = tmp_path / "g.json"
+        code, _, _ = run_cli(
+            capsys, "build", "--ring", name, "--ideal", ideal, "--i", level, "--kind", kind,
+            "--format", "json", "--out", str(path),
+        )
+        assert code == 0
+        loaded = load_graph_json(path.read_text(encoding="utf-8"))
+        ring = build_ring(name)
+        i = EXTENDED if level == "ext" else int(level)
+        built = build_level(ring, span_from_labels(ring, ideal), i, kind)
+        assert built.edge_count > 0
+        assert graph_equals(loaded, built), name
 
 
 def test_dot_and_json_enumerate_identically():
@@ -227,10 +234,13 @@ def test_internal_value_error_is_not_reported_as_bad_input(monkeypatch, capsys):
         [{"ring": "Z12"}],
         [{"claim": "C-EMPTY", "ring": "Z27", "params": {"i": "x"}}],
         [{"claim": "C-TRI", "ring": "Z12", "params": {"n": 0}}],
+        [{"claim": "C-EMPTY", "ring": "Z27", "ideal": 5}],
+        [{"claim": "C-EMPTY", "ring": ["Z27"]}],
         {"claim": "C-EMPTY", "ring": "Z27"},
         "[{",
     ],
-    ids=["unknown-claim", "no-claim", "level-not-int", "n-zero", "not-a-list", "not-json"],
+    ids=["unknown-claim", "no-claim", "level-not-int", "n-zero", "ideal-not-string",
+         "ring-not-string", "not-a-list", "not-json"],
 )
 def test_verify_malformed_grid_exits_2(tmp_path, capsys, payload):
     path = tmp_path / "grid.json"
@@ -241,18 +251,44 @@ def test_verify_malformed_grid_exits_2(tmp_path, capsys, payload):
     assert "error" in err
 
 
+GOOD_GRAPH = {"ring": "Z12", "ideal": [], "vertices": ["2", "3", "4", "9"],
+              "edges": [["2", "3"], ["2", "9"]], "kind": "cozero", "i": 1}
+
+
 @pytest.mark.parametrize("text", [
     "{",
-    '{"ring": "Z12", "ideal": [], "vertices": [], "edges": [], "kind": "cozero", "i": "two"}',
-    '{"ring": "Z12", "ideal": [], "vertices": ["2", "3", "4"], "edges": [["2", "3", "4"]], '
-    '"kind": "cozero", "i": 1}',
-], ids=["not-json", "level-not-int", "three-ended-edge"])
+    {"i": "two"},
+    {"edges": [["2", "3", "4"]]},
+    '{"ring": "Z12", "ideal": [], "vertices": ["2", "3"], "kind": "cozero", "i": 1}',
+    {"edges": ["24"]},
+    {"kind": "bogus"},
+    {"vertices": ["2", "3", "4", "9", "2"]},
+    {"ideal": [2]},
+    {"vertices": ["2", 3, "4", "9"]},
+    {"ring": 12},
+    {"edges": [["2", "2"]]},
+    {"i": 0},
+    {"i": 2.7},
+    {"i": True},
+], ids=["not-json", "level-not-int", "three-ended-edge", "missing-edges", "string-edge",
+        "unknown-kind", "duplicate-vertex", "non-string-ideal-label", "non-string-vertex",
+        "non-string-ring", "loop-edge", "level-zero", "level-fraction", "level-bool"])
 def test_export_malformed_graph_exits_2(tmp_path, capsys, text):
+    if isinstance(text, dict):
+        text = json.dumps({**GOOD_GRAPH, **text})
     path = tmp_path / "g.json"
     path.write_text(text, encoding="utf-8")
     code, _, err = run_cli(capsys, "export", "--in", str(path))
     assert code == 2
     assert "error" in err
+
+
+def test_export_accepts_the_well_formed_base_graph(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(GOOD_GRAPH), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "export", "--in", str(path), "--format", "dot")
+    assert code == 0
+    assert '"2" -- "9";' in out
 
 
 def test_exit_code_on_non_integer_level(capsys):
