@@ -1,9 +1,12 @@
-"""Shape predicates over level graphs.
+"""Shape predicates over level graphs, as mask algebra on the adjacency rows.
 
-Complete multipartite structure is detected through the complement: a graph
-is complete multipartite exactly when the complement is a disjoint union of
-cliques, and those cliques are the parts. That detection is linear in the
-edge count and produces a canonical witness.
+A graph is complete multipartite exactly when "non-adjacent or equal" is an
+equivalence relation, whose classes are then the parts. A vertex in part P
+has the row ``full ^ P``, so the parts are the classes of vertices with
+equal rows, and the graph is complete multipartite exactly when every such
+class is the complement of its row. No flood fill or pair loop is needed,
+and the rows are read as given, so graphs loaded from JSON are handled the
+same way as built ones.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .graphs import COZERO, GraphLevel, level_context
-from .ideals import zero_ideal
+from .ideals import set_bit_items, zero_ideal
 from .rings import ModularRing, Ring, prime_factorization
 
 
@@ -66,44 +69,16 @@ def is_complete(g: GraphLevel) -> bool:
 
 
 def complete_multipartite_parts(g: GraphLevel) -> Optional[PartitionWitness]:
-    """Parts when the complement splits into cliques, else None."""
-    n = len(g.vertices)
-    full = (1 << n) - 1
-    comp_rows = [(full ^ g.rows[k]) & ~(1 << k) for k in range(n)]
-    seen = 0
-    parts = []
-    for start in range(n):
-        if seen >> start & 1:
-            continue
-        # flood the complement component
-        comp = 1 << start
-        frontier = comp_rows[start] & ~comp
-        while frontier:
-            comp |= frontier
-            nxt = 0
-            rest = frontier
-            while rest:
-                k = (rest & -rest).bit_length() - 1
-                nxt |= comp_rows[k]
-                rest &= rest - 1
-            frontier = nxt & ~comp
-        # the component must be a clique in the complement
-        rest = comp
-        while rest:
-            k = (rest & -rest).bit_length() - 1
-            if comp_rows[k] & comp != comp & ~(1 << k):
-                return None
-            rest &= rest - 1
-        seen |= comp
-        part = []
-        rest = comp
-        while rest:
-            k = (rest & -rest).bit_length() - 1
-            part.append(g.vertices[k])
-            rest &= rest - 1
-        parts.append(tuple(part))
-    parts.sort(key=lambda p: p[0])
-    return PartitionWitness(tuple(parts))
+    """The equal-row classes when each is its row's complement, else None."""
+    full = (1 << len(g.vertices)) - 1
+    masks: dict[int, int] = {}
+    parts: dict[int, list[int]] = {}
+    for k, (v, row) in enumerate(zip(g.vertices, g.rows)):
+        masks[row] = masks.get(row, 0) | 1 << k
+        parts.setdefault(row, []).append(v)
+    if any(mask != full ^ row for row, mask in masks.items()):
+        return None
+    return PartitionWitness(tuple(map(tuple, parts.values())))
 
 
 def check_partition_claim(g: GraphLevel, witness: PartitionWitness) -> PartitionVerdict:
@@ -122,14 +97,17 @@ def check_partition_claim(g: GraphLevel, witness: PartitionWitness) -> Partition
     if set(assignment) != set(g.vertices):
         raise InvalidPartition("parts do not cover the vertex set")
     verts = g.vertices
-    for i, x in enumerate(verts):
-        for y in verts[i + 1 :]:
-            same = assignment[x] == assignment[y]
-            edge = g.has_edge(x, y)
-            if same and edge:
-                return PartitionVerdict(False, (x, y), "edge inside a part")
-            if not same and not edge:
-                return PartitionVerdict(False, (x, y), "missing cross-part edge")
+    part_masks = [sum(1 << g.position_of(v) for v in part) for part in witness.parts]
+    full = (1 << len(verts)) - 1
+    for k, (x, row) in enumerate(zip(verts, g.rows)):
+        same = part_masks[assignment[x]]
+        # a pair offends when edge and same part agree: an edge inside the
+        # part, or a missing edge to another part
+        bad = (full ^ row ^ same) >> (k + 1)
+        if bad:
+            j = k + (bad & -bad).bit_length()
+            reason = "edge inside a part" if row >> j & 1 else "missing cross-part edge"
+            return PartitionVerdict(False, (x, verts[j]), reason)
     return PartitionVerdict(True)
 
 
@@ -153,38 +131,30 @@ def is_subgraph(g1: GraphLevel, g2: GraphLevel) -> bool:
     pos2 = {v: k for k, v in enumerate(g2.vertices)}
     if any(v not in pos2 for v in g1.vertices):
         return False
-    for i, v in enumerate(g1.vertices):
-        row = g1.rows[i]
-        j = 0
-        while row:
-            if row & 1:
-                w = g1.vertices[j]
-                if not g2.rows[pos2[v]] >> pos2[w] & 1:
-                    return False
-            row >>= 1
-            j += 1
-    return True
+    # bit j of a g1 row maps to the bit of g1.vertices[j] in g2
+    at2 = [1 << pos2[v] for v in g1.vertices]
+    return not any(
+        sum(set_bit_items(row, at2)) & ~g2.rows[pos2[v]]
+        for v, row in zip(g1.vertices, g1.rows)
+    )
 
 
 def induced_subgraph(g: GraphLevel, keep: set[int]) -> GraphLevel:
     """Restriction of g to the given vertices (order preserved)."""
-    verts = tuple(v for v in g.vertices if v in keep)
-    old_pos = {v: k for k, v in enumerate(g.vertices)}
-    rows = []
-    for v in verts:
-        row = 0
-        for j, w in enumerate(verts):
-            if g.rows[old_pos[v]] >> old_pos[w] & 1:
-                row |= 1 << j
-        rows.append(row)
+    kept = [k for k, v in enumerate(g.vertices) if v in keep]
+    # bit k of an old row maps to the new bit of vertex k, or to nothing
+    at_new = [0] * len(g.vertices)
+    for j, k in enumerate(kept):
+        at_new[k] = 1 << j
+    rows = tuple(sum(set_bit_items(g.rows[k], at_new)) for k in kept)
     return GraphLevel(
         ring=g.ring,
         ideal=g.ideal,
         kind=g.kind,
         level=g.level,
         requested_extended=g.requested_extended,
-        vertices=verts,
-        rows=tuple(rows),
+        vertices=tuple(g.vertices[k] for k in kept),
+        rows=rows,
     )
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import analysis
 from .analysis import (
@@ -38,7 +38,6 @@ from .graphs import (
     GraphLevel,
     adjacent,
     build_level,
-    later_items,
     level_context,
     vertex_set,
 )
@@ -136,10 +135,7 @@ class _Resolved:
         return self.ring.label(x)
 
     def vertex_bits(self) -> int:
-        bits = 0
-        for v in self.ctx.vertices(COZERO):
-            bits |= 1 << v
-        return bits
+        return sum(1 << v for v in self.ctx.vertices(COZERO))
 
 
 def _standing_ok(r: _Resolved) -> bool:
@@ -152,20 +148,24 @@ def _standing_ok(r: _Resolved) -> bool:
     return bool(r.ctx.vertices(COZERO))
 
 
-def _first_edge(g: GraphLevel) -> Optional[tuple[int, int]]:
-    return next(iter(g.edges()), None)
+def _first_pair(g: GraphLevel, masks: Iterable[int]) -> Optional[tuple[int, int]]:
+    """The first vertex pair of g, in carrier order, set above the diagonal.
 
-
-def _first_edge_missing_from(g: GraphLevel, other: GraphLevel) -> tuple[int, int]:
-    """The first edge of g, in carrier order, that other lacks.
-
-    The two graphs are levels over one (ring, J), so they share their vertex
-    tuple and a position means the same vertex in both.
+    ``masks`` are indexed like ``g.rows``: the rows give the first edge, the
+    complemented rows the first non-edge, and ``row & ~other_row`` for a
+    level ``other`` over the same (ring, J), which shares g's vertex tuple,
+    the first edge of g that ``other`` lacks.
     """
-    for k, (row, other_row) in enumerate(zip(g.rows, other.rows)):
-        for y in later_items(row & ~other_row, k, g.vertices):
-            return g.vertices[k], y
-    raise ValueError("every edge of g is an edge of other")
+    for k, mask in enumerate(masks):
+        above = mask >> (k + 1)
+        if above:
+            return g.vertices[k], g.vertices[k + (above & -above).bit_length()]
+    return None
+
+
+def _missing_from(g: GraphLevel, other: GraphLevel) -> Iterator[int]:
+    """The rows of g with the edges of other removed."""
+    return (row & ~other_row for row, other_row in zip(g.rows, other.rows))
 
 
 def _pair_witness(kind: str, g: GraphLevel, x: int, y: int, **extra) -> dict:
@@ -177,15 +177,6 @@ def _pair_witness(kind: str, g: GraphLevel, x: int, y: int, **extra) -> dict:
 
 def _element_witness(r: _Resolved, x: int, n: int, condition: str) -> dict:
     return {"kind": "element", "x": r.label(x), "n": n, "condition": condition}
-
-
-def _first_missing_pair(g: GraphLevel) -> Optional[tuple[int, int]]:
-    verts = g.vertices
-    for i, x in enumerate(verts):
-        for y in verts[i + 1 :]:
-            if not g.has_edge(x, y):
-                return (x, y)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +194,7 @@ def _run_empty(r: _Resolved):
     g = r.graph(r.instance.param("i", 1))
     if is_empty_graph(g):
         return VERIFIED, None, f"|V|={len(g.vertices)}, no edges"
-    return REFUTED, _pair_witness("edge", g, *_first_edge(g)), "an edge exists"
+    return REFUTED, _pair_witness("edge", g, *_first_pair(g, g.rows)), "an edge exists"
 
 
 def _run_grow(r: _Resolved):
@@ -236,7 +227,7 @@ def _run_grow(r: _Resolved):
     if not g_lo.has_edge(u, v) and g_hi.has_edge(u, v):
         witness = _pair_witness("edge", g_hi, u, v, absent_at_level=n - 1)
         return VERIFIED, witness, "levels differ; the expected pair is the new edge"
-    x, y = _first_edge_missing_from(g_hi, g_lo)
+    x, y = _first_pair(g_hi, _missing_from(g_hi, g_lo))
     witness = _pair_witness("edge", g_hi, x, y, absent_at_level=n - 1)
     return VERIFIED, witness, "levels differ (expected pair did not witness it)"
 
@@ -256,8 +247,9 @@ def _run_filtration(r: _Resolved):
     levels = sorted({1, 2, 3, bound, bound + 1})
     graphs = [r.graph(i) for i in levels]
     for g_lo, g_hi in zip(graphs, graphs[1:]):
-        if not analysis.is_subgraph(g_lo, g_hi):
-            x, y = _first_edge_missing_from(g_lo, g_hi)
+        lost = _first_pair(g_lo, _missing_from(g_lo, g_hi))
+        if lost is not None:
+            x, y = lost
             witness = _pair_witness("edge", g_lo, x, y, absent_at_level=g_hi.level)
             return REFUTED, witness, "edge lost at a higher level"
     return VERIFIED, None, f"chain verified across levels {levels}"
@@ -317,10 +309,16 @@ def _run_xi_parity(r: _Resolved):
 
 
 def _stable_power_exponents(ring: Ring, x: int) -> tuple[int, ...]:
-    # x, ..., x^{t+p} are distinct and x^{t+p+1} = x^{t+1}, so x^n = x^{n+1}
-    # with n <= t + p holds only at n = t + 1, and only when p = 1
-    t, p = ring.power_rho(x)
-    return (t + 1,) if p == 1 else ()
+    """The least n with x^n = x^(n+1), if there is one.
+
+    In each local factor of R, x is a unit, whose powers are purely periodic,
+    or nilpotent of some index k with 2^k <= |R| (see ``jacobson_radical``).
+    So a stable power exists exactly when every unit component is 1, and
+    then the least one is at most K = bit_length(|R|); the search stops there.
+    """
+    k = ring.size.bit_length()
+    powers = [ring.pow(x, m) for m in range(1, k + 2)]
+    return next(((n,) for n in range(1, k + 1) if powers[n - 1] == powers[n]), ())
 
 
 def _run_conilpotent_elements(r: _Resolved):
@@ -514,7 +512,8 @@ def _run_zero_divisor_completeness(r: _Resolved):
     g_z = r.graph(i, ZERO)
     if is_complete(g_z):
         return VERIFIED, None, f"both graphs complete at level {g_z.level}"
-    witness = _pair_witness("non_edge", g_z, *_first_missing_pair(g_z))
+    full = (1 << len(g_z.vertices)) - 1
+    witness = _pair_witness("non_edge", g_z, *_first_pair(g_z, (full ^ row for row in g_z.rows)))
     return REFUTED, witness, "zero-divisor graph is not complete"
 
 

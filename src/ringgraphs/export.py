@@ -11,7 +11,7 @@ import json
 from json.encoder import encode_basestring_ascii
 from typing import Union
 
-from .graphs import COZERO, EXTENDED, ZERO, GraphLevel, later_items
+from .graphs import COZERO, EXTENDED, ZERO, GraphLevel, later_items, stabilization_bound
 from .ideals import span
 from .rings import ParseError, Ring, build_ring, descriptor_string
 
@@ -112,7 +112,8 @@ def load_graph_json(text: Union[str, dict]) -> GraphLevel:
     """Rebuild a GraphLevel from its JSON export.
 
     The adjacency is taken from the file, not recomputed, so round-trip
-    comparisons exercise the exporter for real.
+    comparisons exercise the exporter for real. Only the level that ``ext``
+    resolves to is recomputed, since the file does not record it.
     """
     try:
         data = json.loads(text) if isinstance(text, str) else text
@@ -149,7 +150,8 @@ def load_graph_json(text: Union[str, dict]) -> GraphLevel:
     requested_extended = level_field == EXTENDED
     if not requested_extended and not (type(level_field) is int and level_field >= 1):
         raise ParseError(f"graph JSON has a bad level {level_field!r}")
-    level = 0 if requested_extended else level_field
+    # the file names the extended level, so resolve it as build_level does
+    level = stabilization_bound(ring, ideal) if requested_extended else level_field
     return GraphLevel(
         ring=ring,
         ideal=ideal,

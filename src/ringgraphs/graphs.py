@@ -44,10 +44,9 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from itertools import compress
 from typing import Callable, Iterator, Optional, Sequence, TypeVar, Union
 
-from .ideals import IdealSet, ideal_sum, principal_plus
+from .ideals import IdealSet, ideal_sum, principal_plus, set_bit_items
 from .rings import Ring, descriptor_string
 
 COZERO = "cozero"
@@ -62,21 +61,14 @@ class NotAVertex(Exception):
     """Adjacency was queried for an element outside the vertex set."""
 
 
-# maps the digits of a binary numeral to the bytes 0 and 1
-_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
-
-
 def later_items(row: int, k: int, items: Sequence[T]) -> Iterator[T]:
     """The ``items[j]`` with j > k and bit j of ``row`` set, in order of j.
 
     With ``row = rows[k]`` and ``items`` indexed like the vertices, this is
     what each writer needs from vertex k's later neighbours, so every
-    unordered edge is met once, in carrier-index order. The bits are read off
-    the row's binary numeral in one pass, not by shifting the row once per
-    position.
+    unordered edge is met once, in carrier-index order.
     """
-    bits = f"{row >> (k + 1):b}"[::-1].encode().translate(_BIT_BYTES)
-    return compress(items[k + 1 :], bits)
+    return set_bit_items(row >> (k + 1), items[k + 1 :])
 
 
 @dataclass(frozen=True)

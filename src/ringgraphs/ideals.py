@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import compress
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 from .rings import (
     ModularRing,
@@ -26,14 +27,24 @@ class UnsupportedRingFamily(Exception):
     """Raised when an operation needs ring structure we do not enumerate."""
 
 
+T = TypeVar("T")
+
+# maps the digits of a binary numeral to the bytes 0 and 1
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def set_bit_items(bits: int, items: Sequence[T]) -> Iterator[T]:
+    """The ``items[j]`` with bit j of ``bits`` set, in order of j.
+
+    This is the one bitset-to-positions walk: the bits are read off the
+    binary numeral in one pass, not by shifting once per position.
+    """
+    return compress(items, f"{bits:b}"[::-1].encode().translate(_BIT_BYTES))
+
+
 def _indices(bits: int) -> Iterator[int]:
     """The positions of the set bits, in increasing order."""
-    x = 0
-    while bits:
-        if bits & 1:
-            yield x
-        bits >>= 1
-        x += 1
+    return set_bit_items(bits, range(bits.bit_length()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,16 +271,12 @@ def _greedy_generators(ring: Ring, bits: int) -> tuple[int, ...]:
     """A small generating set for the ideal with the given member bitset."""
     gens: list[int] = []
     have = 1
-    x = 0
-    rest = bits
-    while rest:
-        if rest & 1 and not have >> x & 1:
+    for x in _indices(bits):
+        if not have >> x & 1:
             gens.append(x)
             have = _span_bits(ring, tuple(gens), 1)
             if have == bits:
                 break
-        rest >>= 1
-        x += 1
     return tuple(gens)
 
 

@@ -1,13 +1,20 @@
 """Independent brute-force oracles used to cross-check the library.
 
-Everything here works on raw element sets and the ring's arithmetic only:
-no IdealSet, no interning, no trajectory caches. Costs are quadratic and
-worse on purpose; these are the referees, not the implementation.
+The ring oracles work on raw element sets and the ring's arithmetic only:
+no IdealSet, no interning, no trajectory caches. The graph oracles read a
+built graph one vertex pair at a time through ``has_edge``, never a whole
+adjacency row. Costs are quadratic and worse on purpose; these are the
+referees, not the implementation.
 """
 
 from __future__ import annotations
 
 import itertools
+
+from ringgraphs.claims import GRID_RINGS, grid_ideals
+from ringgraphs.graphs import COZERO, EXTENDED, ZERO, build_level
+from ringgraphs.ideals import span_from_labels
+from ringgraphs.rings import build_ring
 
 
 def closure_span(ring, generators):
@@ -147,3 +154,62 @@ def brute_is_multipartite(g):
         if ok:
             return True
     return False
+
+
+def pairwise_multipartite_parts(g):
+    """Parts of a complete multipartite graph, from vertex pairs, else None.
+
+    The parts are the classes of "non-adjacent or equal" when that relation
+    is transitive, in order of their first vertex.
+    """
+    verts = g.vertices
+    classes = {
+        x: tuple(y for y in verts if y == x or not g.has_edge(x, y)) for x in verts
+    }
+    if any(classes[y] != block for block in classes.values() for y in block):
+        return None
+    return tuple(dict.fromkeys(classes.values()))
+
+
+def pairwise_partition_verdict(g, parts):
+    """(holds, first offending pair, reason), scanning pairs in vertex order."""
+    part_of = {v: k for k, part in enumerate(parts) for v in part}
+    for x, y in itertools.combinations(g.vertices, 2):
+        same = part_of[x] == part_of[y]
+        edge = g.has_edge(x, y)
+        if same and edge:
+            return False, (x, y), "edge inside a part"
+        if not same and not edge:
+            return False, (x, y), "missing cross-part edge"
+    return True, None, ""
+
+
+def pairwise_is_subgraph(g1, g2):
+    """Vertex containment plus every edge of g1 being an edge of g2."""
+    if not set(g1.vertices) <= set(g2.vertices):
+        return False
+    return all(
+        g2.has_edge(x, y)
+        for x, y in itertools.combinations(g1.vertices, 2)
+        if g1.has_edge(x, y)
+    )
+
+
+def pairwise_induced_edges(g, keep):
+    """The edges of g with both ends kept, in vertex order."""
+    verts = [v for v in g.vertices if v in keep]
+    return [(x, y) for x, y in itertools.combinations(verts, 2) if g.has_edge(x, y)]
+
+
+def grid_graphs():
+    """Every grid (ring, ideal) at levels 1-3 and ext, both kinds.
+
+    This is the sweep the differential tests run their referees over.
+    """
+    for name in GRID_RINGS:
+        ring = build_ring(name)
+        for label in grid_ideals(name):
+            J = span_from_labels(ring, label)
+            for kind in (COZERO, ZERO):
+                for i in (1, 2, 3, EXTENDED):
+                    yield build_level(ring, J, i, kind)

@@ -4,7 +4,14 @@ import itertools
 
 import pytest
 
-from oracles import brute_is_multipartite
+from oracles import (
+    brute_is_multipartite,
+    grid_graphs,
+    pairwise_induced_edges,
+    pairwise_is_subgraph,
+    pairwise_multipartite_parts,
+    pairwise_partition_verdict,
+)
 from ringgraphs.analysis import (
     IncomparableGraphs,
     InvalidPartition,
@@ -149,3 +156,57 @@ def test_induced_subgraph():
     h = induced_subgraph(g, {2, 3, 9})
     assert h.vertices == (2, 3, 9)
     assert set(h.edges()) == {(2, 3), (2, 9)}
+
+
+def _perturbed(parts, verts):
+    """parts with the last vertex moved into the first vertex's part, or
+    split off alone when it already shares that part."""
+    last = verts[-1]
+    rest = [tuple(v for v in part if v != last) for part in parts]
+    home = next(k for k, part in enumerate(parts) if verts[0] in part)
+    if last in parts[home]:
+        if len(parts[home]) == 1:
+            return None
+        return (*rest, (last,))
+    rest[home] = tuple(sorted(rest[home] + (last,)))
+    return tuple(part for part in rest if part)
+
+
+def _valuation_parts(g):
+    """The Z_{p^n q} valuation parts, when they partition g's vertex set."""
+    if g.ideal.bits != 1:
+        return None
+    try:
+        return zpnq_parts(g.ring).parts
+    except NotZpnqForm:
+        return None
+
+
+def test_shape_predicates_match_pairwise_oracles_on_grid_graphs():
+    graphs = list(grid_graphs())
+    for g in graphs:
+        detected = complete_multipartite_parts(g)
+        assert (detected.parts if detected else None) == pairwise_multipartite_parts(g), g
+        if not g.vertices:
+            continue
+        bases = [
+            detected.parts if detected else tuple((v,) for v in g.vertices),
+            _valuation_parts(g),
+        ]
+        candidates = [p for p in bases if p is not None]
+        candidates += [_perturbed(p, g.vertices) for p in candidates]
+        for parts in filter(None, candidates):
+            verdict = check_partition_claim(g, PartitionWitness(parts))
+            expected = pairwise_partition_verdict(g, parts)
+            assert (verdict.holds, verdict.witness, verdict.reason) == expected, (g, parts)
+        keep = set(g.vertices[::2])
+        h = induced_subgraph(g, keep)
+        assert h.vertices == tuple(v for v in g.vertices if v in keep)
+        assert pairwise_induced_edges(h, keep) == pairwise_induced_edges(g, keep), g
+        assert is_subgraph(h, g) == pairwise_is_subgraph(h, g)
+        assert is_subgraph(g, h) == pairwise_is_subgraph(g, h)
+    # levels 1, 2, 3 and ext of one (ring, ideal, kind) come in fours
+    for k in range(0, len(graphs), 4):
+        levels = graphs[k : k + 4]
+        for g1, g2 in itertools.product(levels, repeat=2):
+            assert is_subgraph(g1, g2) == pairwise_is_subgraph(g1, g2), (g1, g2)

@@ -64,6 +64,7 @@ def test_json_round_trip(tmp_path, capsys):
         built = build_level(ring, span_from_labels(ring, ideal), i, kind)
         assert built.edge_count > 0
         assert graph_equals(loaded, built), name
+        assert loaded.level == built.level, name
 
 
 def test_dot_and_json_enumerate_identically():

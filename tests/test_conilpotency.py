@@ -3,6 +3,7 @@
 import pytest
 
 from oracles import brute_conilpotency_index, coset_set
+from ringgraphs.claims import GRID_RINGS, _stable_power_exponents
 from ringgraphs.conilpotency import conilpotency_record, ring_conilpotency_index
 from ringgraphs.graphs import build_level, stabilization_bound, vertex_set
 from ringgraphs.ideals import jacobson_radical, span, zero_ideal
@@ -147,3 +148,13 @@ def test_even_index_excluded_when_levels_coincide():
             continue
         xi = ring_conilpotency_index(ring, J)
         assert xi is None or xi % 2 == 1
+
+
+@pytest.mark.parametrize("name", GRID_RINGS + ["Z30", "Z49", "Z2xZ4", "Z3[x]/(x^2)"])
+def test_bounded_stable_power_search_matches_rho_formula(name):
+    # x, ..., x^{t+p} are distinct and x^{t+p+1} = x^{t+1}, so x^n = x^{n+1}
+    # holds first at n = t + 1, and only when the period p is 1
+    ring = build_ring(name)
+    for x in ring.elements():
+        t, p = ring.power_rho(x)
+        assert _stable_power_exponents(ring, x) == ((t + 1,) if p == 1 else ()), x

@@ -4,27 +4,17 @@ import hashlib
 import json
 from pathlib import Path
 
-from ringgraphs.claims import GRID_RINGS, grid_ideals
+from oracles import grid_graphs
+from ringgraphs.analysis import complete_multipartite_parts, is_complete
 from ringgraphs.export import graph_to_dot, graph_to_json, graph_to_json_dict, graph_to_table
 from ringgraphs.graphs import COZERO, EXTENDED, ZERO, build_level, later_items
-from ringgraphs.ideals import span_from_labels, zero_ideal
+from ringgraphs.ideals import zero_ideal
 from ringgraphs.rings import build_ring, descriptor_string
 
 PINS = Path(__file__).parents[1] / "perfbench" / "pins.json"
 
 # the seed-0 items of the benchmark's extend-zn workload
 EXTEND_ZN_ITEMS = [("Z2310", COZERO), ("Z1024", COZERO), ("Z1000", ZERO), ("Z4xZ9xZ25", COZERO)]
-
-
-def grid_graphs():
-    """Every grid (ring, ideal) at levels 1-3 and ext, both kinds."""
-    for name in GRID_RINGS:
-        ring = build_ring(name)
-        for label in grid_ideals(name):
-            J = span_from_labels(ring, label)
-            for kind in (COZERO, ZERO):
-                for i in (1, 2, 3, EXTENDED):
-                    yield build_level(ring, J, i, kind)
 
 
 def reference_edges(g):
@@ -105,3 +95,6 @@ def test_extend_zn_exports_match_benchmark_pins():
             pin["vertices"], pin["edges"], pin["level"]
         )
         assert hashlib.sha256(graph_to_json(g).encode()).hexdigest() == pin["sha256"], name
+        parts = complete_multipartite_parts(g)
+        assert (parts.arity if parts else None) == pin["parts"], name
+        assert is_complete(g) == pin["complete"], name
