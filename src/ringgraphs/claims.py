@@ -316,9 +316,13 @@ def _stable_power_exponents(ring: Ring, x: int) -> tuple[int, ...]:
     So a stable power exists exactly when every unit component is 1, and
     then the least one is at most K = bit_length(|R|); the search stops there.
     """
-    k = ring.size.bit_length()
-    powers = [ring.pow(x, m) for m in range(1, k + 2)]
-    return next(((n,) for n in range(1, k + 1) if powers[n - 1] == powers[n]), ())
+    p = x  # the running power x^n
+    for n in range(1, ring.size.bit_length() + 1):
+        q = ring.mul(p, x)
+        if q == p:
+            return (n,)
+        p = q
+    return ()
 
 
 def _run_conilpotent_elements(r: _Resolved):
@@ -340,7 +344,7 @@ def _run_conilpotent_elements(r: _Resolved):
             if power_ideal.contains(one_minus):
                 witness = _element_witness(r, x, n, "1-x inside x^n R + J")
                 return REFUTED, witness, "first non-membership fails"
-            if complement.contains(ring.pow(x, n)):
+            if power_ideal.issubset(complement):
                 witness = _element_witness(r, x, n, "x^n inside R(1-x) + J")
                 return REFUTED, witness, "second non-membership fails"
     if checked == 0:

@@ -39,7 +39,7 @@ def conilpotency_record(ring: Ring, J: IdealSet, x: int) -> ConilpotencyRecord:
         power_ideal = ctx.ideal_of_power(x, k)
         if power_ideal.contains(one_minus_x):
             continue
-        if complement_ideal.contains(ring.pow(x, k)):
+        if power_ideal.issubset(complement_ideal):
             continue
         return ConilpotencyRecord(x, True, k, bound)
     return ConilpotencyRecord(x, False, None, bound)

@@ -46,7 +46,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, TypeVar, Union
 
-from .ideals import IdealSet, ideal_sum, principal_plus, set_bit_items
+from .ideals import IdealSet, ideal_sum, set_bit_items
 from .rings import Ring, descriptor_string
 
 COZERO = "cozero"
@@ -185,16 +185,16 @@ class LevelContext:
             return got
         ring, J = self.ring, self.J
         ids: list[int] = []
-        m = 1
+        p = x  # the running power x^m
         while True:
-            I = principal_plus(x, m, J)
+            I = ideal_sum(J, (p,))
             if ids and I.ideal_id == ids[-1]:
                 break
             ids.append(I.ideal_id)
             if I.ideal_id not in self._ideal_by_id:
                 self._ideal_by_id[I.ideal_id] = I
-                self._rep_by_id[I.ideal_id] = ring.pow(x, m)
-            m += 1
+                self._rep_by_id[I.ideal_id] = p
+            p = ring.mul(p, x)
         traj = PowerTrajectory(element=x, ideal_ids=tuple(ids), preperiod=len(ids) - 1)
         self._traj[x] = traj
         return traj

@@ -343,8 +343,10 @@ def prime_factorization(n: int) -> dict[int, int]:
 class Ring:
     """A finite commutative ring; elements are indices in [0, size).
 
-    Rings are immutable after construction, so every operation is safe to
-    call from multiple threads.
+    Arithmetic keeps no memo: ``mul`` and ``add`` are computed from each
+    family's structure and ``pow`` from ``mul``, so they are safe to call
+    from multiple threads. The unit bitset is computed once, under the
+    ring's lock, which also guards the ideal intern table.
     """
 
     descriptor: RingDescriptor
@@ -356,8 +358,6 @@ class Ring:
         self.descriptor = descriptor
         self.size = size
         self.full_bits = (1 << size) - 1
-        self._pow_cache: dict[int, list[int]] = {}
-        self._rho_cache: dict[int, tuple[int, int]] = {}
         self._unit_bits: Optional[int] = None
         self._lock = threading.Lock()
         # ideal interning lives on the ring so ids are process-wide stable
@@ -384,10 +384,30 @@ class Ring:
         raise NotImplementedError
 
     def _compute_unit_bits(self) -> int:
-        # carrier scan: x is a unit iff some r has x*r == 1
+        """Walk the powers of each element, settling every element passed.
+
+        x is a unit iff some power of x is 1, and x^j is a unit iff x is, so
+        all powers on one walk share a verdict. A walk stops at a settled
+        element (1 is settled from the start), whose verdict it takes, or at
+        a repeat, which closes a cycle without 1. Each product settles an
+        element, so the scan costs about |R| products.
+        """
+        UNIT, NON_UNIT, ON_WALK = 1, 2, 3
+        status = bytearray(self.size)
+        status[self.one] = UNIT
+        for x in range(self.size):
+            walk = []
+            p = x
+            while not status[p]:
+                status[p] = ON_WALK
+                walk.append(p)
+                p = self.mul(p, x)
+            verdict = UNIT if status[p] == UNIT else NON_UNIT
+            for q in walk:
+                status[q] = verdict
         bits = 0
         for x in range(self.size):
-            if any(self.mul(x, r) == self.one for r in range(self.size)):
+            if status[x] == UNIT:
                 bits |= 1 << x
         return bits
 
@@ -400,38 +420,15 @@ class Ring:
         return range(self.size)
 
     def pow(self, x: int, m: int) -> int:
-        """x^m for m >= 1, via the memoized power sequence."""
+        """x^m for m >= 1, by square-and-multiply over the bits of m."""
         if m < 1:
             raise ValueError("exponent must be >= 1")
-        seq = self._pow_cache.get(x)
-        if seq is not None and len(seq) >= m:
-            return seq[m - 1]
-        # the sequence only ever grows, so readers above never lock
-        with self._lock:
-            seq = self._pow_cache.setdefault(x, [x])
-            while len(seq) < m:
-                seq.append(self.mul(seq[-1], x))
-        return seq[m - 1]
-
-    def power_rho(self, x: int) -> tuple[int, int]:
-        """Preperiod and period of the value sequence x, x^2, x^3, ...
-
-        The sequence is eventually periodic with preperiod + period <= size.
-        """
-        cached = self._rho_cache.get(x)
-        if cached is not None:
-            return cached
-        seen: dict[int, int] = {}
-        m = 1
-        while True:
-            v = self.pow(x, m)
-            if v in seen:
-                t = seen[v] - 1
-                p = m - seen[v]
-                self._rho_cache[x] = (t, p)
-                return t, p
-            seen[v] = m
-            m += 1
+        p = x
+        for bit in f"{m:b}"[1:]:
+            p = self.mul(p, p)
+            if bit == "1":
+                p = self.mul(p, x)
+        return p
 
     def unit_bits(self) -> int:
         if self._unit_bits is None:
@@ -535,13 +532,6 @@ class _ProductRingOps(Ring):
             raise ParseError(f"expected {len(self.factor_rings)} components in {text!r}")
         return self.encode(tuple(f.parse_label(p) for f, p in zip(self.factor_rings, parts)))
 
-    def _compute_unit_bits(self):
-        bits = 0
-        for a in range(self.size):
-            if all(f.is_unit(c) for f, c in zip(self.factor_rings, self.decode(a))):
-                bits |= 1 << a
-        return bits
-
 
 class _QuotientRingOps(Ring):
     def __init__(self, desc: PolyQuotientRing):
@@ -563,7 +553,14 @@ class _QuotientRingOps(Ring):
             }
             self._rewrite = (desc.modulus_var, repl)
         self.one = self.encode_digits((1,) + (0,) * (len(self.monomials) - 1))
-        self._mul_rows: dict[int, list[int]] = {}
+
+        def product(mi, mj):
+            digits = self._reduce({tuple(x + y for x, y in zip(mi, mj)): 1})
+            return tuple((slot, c) for slot, c in enumerate(digits) if c)
+
+        # structure constants: _products[i][j] lists the (slot, coefficient)
+        # terms of the reduced product of monomials i and j (k <= 16 at the cap)
+        self._products = [[product(mi, mj) for mj in self.monomials] for mi in self.monomials]
 
     def encode_digits(self, digits) -> int:
         a = 0
@@ -608,27 +605,19 @@ class _QuotientRingOps(Ring):
                 stack.append((tuple(e2), coeff * c))
         return tuple(digits)
 
-    def _raw_mul(self, a: int, b: int) -> int:
+    def mul(self, a, b):
         da, db = self.decode_digits(a), self.decode_digits(b)
-        terms: dict[tuple[int, ...], int] = {}
+        acc = [0] * len(da)
         for i, ca in enumerate(da):
             if not ca:
                 continue
-            mi = self.monomials[i]
+            row = self._products[i]
             for j, cb in enumerate(db):
-                if not cb:
-                    continue
-                mj = self.monomials[j]
-                key = tuple(x + y for x, y in zip(mi, mj))
-                terms[key] = terms.get(key, 0) + ca * cb
-        return self.encode_digits(self._reduce(terms))
-
-    def mul(self, a, b):
-        row = self._mul_rows.get(a)
-        if row is None:
-            row = [self._raw_mul(a, b2) for b2 in range(self.size)]
-            self._mul_rows[a] = row
-        return row[b]
+                if cb:
+                    c = ca * cb
+                    for slot, coeff in row[j]:
+                        acc[slot] += c * coeff
+        return self.encode_digits([c % self.m for c in acc])
 
     def coordinates(self, a):
         return self.decode_digits(a)

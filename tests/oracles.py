@@ -9,6 +9,7 @@ referees, not the implementation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from ringgraphs.claims import GRID_RINGS, grid_ideals
@@ -65,16 +66,19 @@ def naive_vertices(ring, j_members, kind):
     return out
 
 
-def naive_adjacent(ring, j_members, x, y, i, kind):
-    """Literal definition, one coset enumeration per exponent pair."""
+def naive_adjacent(ring, j_members, x, y, i, kind, coset=None):
+    """Literal definition, one coset enumeration per exponent pair.
+
+    ``coset(v)`` gives the set v*R + J; it defaults to ``coset_set``.
+    """
+    if coset is None:
+        coset = functools.partial(coset_set, ring, j_members)
     if kind == "cozero":
         for m in range(1, i + 1):
             xm = ring.pow(x, m)
             for n in range(1, i + 1):
                 yn = ring.pow(y, n)
-                if xm not in coset_set(ring, j_members, yn) and yn not in coset_set(
-                    ring, j_members, xm
-                ):
+                if xm not in coset(yn) and yn not in coset(xm):
                     return True
         return False
     for n in range(1, i + 1):
@@ -91,12 +95,73 @@ def naive_adjacent(ring, j_members, x, y, i, kind):
 
 
 def naive_edges(ring, j_members, i, kind):
+    """Every adjacent vertex pair, enumerating each coset v*R + J once."""
     verts = naive_vertices(ring, j_members, kind)
+    coset = functools.cache(functools.partial(coset_set, ring, j_members))
     return {
         (x, y)
         for x, y in itertools.combinations(verts, 2)
-        if naive_adjacent(ring, j_members, x, y, i, kind)
+        if naive_adjacent(ring, j_members, x, y, i, kind, coset)
     }
+
+
+def power_rho(ring, x):
+    """Preperiod and period of the value sequence x, x^2, x^3, ...
+
+    The sequence is eventually periodic with preperiod + period <= size.
+    """
+    seen = {}
+    v, m = x, 1
+    while v not in seen:
+        seen[v] = m
+        v, m = ring.mul(v, x), m + 1
+    return seen[v] - 1, m - seen[v]
+
+
+def poly_mul(ring, a, b):
+    """Product in Z_m[x_1..x_k]/(relators), by expanding exponent dicts.
+
+    Reads the relators off the descriptor and reduces by its own long
+    division, independently of the ring's structure constants. Elements are
+    coefficient vectors over the residue monomials in ascending lex order,
+    read as base-m digits with the first monomial least significant.
+    """
+    desc = ring.descriptor
+    m, bounds, v = desc.coefficient_modulus, desc.exponents, desc.modulus_var
+    monomials = sorted(itertools.product(*(range(e) for e in bounds)))
+
+    def terms(a):
+        out = {}
+        for mono in monomials:
+            a, c = divmod(a, m)
+            if c:
+                out[mono] = c
+        return out
+
+    prod = {}
+    for ea, ca in terms(a).items():
+        for eb, cb in terms(b).items():
+            e = tuple(p + q for p, q in zip(ea, eb))
+            prod[e] = (prod.get(e, 0) + ca * cb) % m
+    # x_i^e = 0 for every variable but the modulus one
+    prod = {
+        e: c for e, c in prod.items()
+        if c and all(d < bound for i, (d, bound) in enumerate(zip(e, bounds)) if i != v)
+    }
+    if v is not None:
+        # divide by the monic modulus f, leading terms of highest degree first
+        f = desc.modulus_coeffs
+        deg = len(f) - 1
+        while True:
+            over = [e for e, c in prod.items() if c and e[v] >= deg]
+            if not over:
+                break
+            lead = max(over, key=lambda e: e[v])
+            c = prod[lead]
+            for k, fk in enumerate(f):
+                e = lead[:v] + (lead[v] - deg + k,) + lead[v + 1:]
+                prod[e] = (prod.get(e, 0) - c * fk) % m
+    return sum(prod.get(mono, 0) * m**slot for slot, mono in enumerate(monomials))
 
 
 def brute_conilpotency_index(ring, j_members):

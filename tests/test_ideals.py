@@ -138,6 +138,11 @@ def test_jacobson_examples():
     assert members(jacobson_radical(build_ring("Z8"))) == {0, 2, 4, 6}
     assert members(jacobson_radical(build_ring("Z5"))) == {0}
     assert members(jacobson_radical(build_ring("Z1000"))) == set(range(0, 1000, 10))
+    # the nilradical of a local quotient ring: zero constant term (slot 0)
+    q = build_ring("Z3[x,y]/(x^3,y^2)")
+    radical = members(jacobson_radical(q))
+    assert len(radical) == 243
+    assert radical == {a for a in q.elements() if q.coordinates(a)[0] == 0}
 
 
 @pytest.mark.parametrize("name", ORACLE_RINGS)

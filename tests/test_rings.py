@@ -5,6 +5,8 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import poly_mul, power_rho
+from ringgraphs.claims import GRID_RINGS
 from ringgraphs.rings import (
     CarrierTooLarge,
     ModularRing,
@@ -19,6 +21,23 @@ from ringgraphs.rings import (
 
 SMALL_RINGS = ["Z6", "Z12", "Z2xZ3", "Z2xZ2", "Z4[x]/(x^2)", "Z3[t]/(t^2+1)"]
 MEDIUM_RINGS = SMALL_RINGS + ["Z24", "Z2[x,y]/(x^3,y^2)", "Z4xZ9"]
+# non-local quotient rings, a modulus rewrite, and a three-factor product
+UNIT_WALK_RINGS = ["Z6[x]/(x^2)", "Z2[t]/(t^2+t)", "Z4[t]/(t^3+t+1)", "Z4xZ9xZ25"]
+
+# every quotient ring of at most 128 elements that the tests, the grid or the
+# stabilize-poly benchmark pools build; the modulus rewrites are the cases
+# that treating the modulus variable as nilpotent would get wrong
+QUOTIENT_RINGS = sorted({
+    *(name for name in GRID_RINGS if "[" in name),
+    "Z2[x]/(x^2)", "Z2[y]/(y^2)", "Z3[x]/(x^2)", "Z4[x]/(x^2)",
+    "Z2[x,y]/(x^2,y^2)", "Z2[t,y]/(t^2,y^2)", "Z2[x,y]/(x^3,y^2)", "Z2[x,y]/(x^2,y^3)",
+    "Z6[x]/(x^2)", "Z2[t]/(t^2+t)", "Z3[t]/(t^2+1)", "Z4[t]/(t^2+t+1)",
+    "Z2[x,y]/(x^3+x,y^2)",
+    "Z2[x]/(x^7)", "Z2[t]/(t^7)", "Z5[x]/(x^3)", "Z5[u]/(u^3)", "Z9[x]/(x^2)", "Z9[t]/(t^2)",
+    "Z3[x,y]/(x^2,y^2)", "Z3[y,x]/(y^2,x^2)",
+    "Z4[t]/(t^3+t+1)", "Z4[t]/(t^3+t^2+1)", "Z4[t]/(t^3+2*t^2+t+1)",
+    "Z2[x,y]/(x^2,y^3+y+1)", "Z2[x,y]/(x^2,y^3+y^2+1)", "Z2[x,y]/(x^3+x+1,y^2)",
+})
 
 
 def test_carrier_sizes():
@@ -142,10 +161,18 @@ def test_pow_consistency(name):
             assert ring.pow(x, m + 1) == ring.mul(ring.pow(x, m), x)
 
 
-@pytest.mark.parametrize("name", MEDIUM_RINGS)
+@pytest.mark.parametrize("name", QUOTIENT_RINGS)
+def test_quotient_mul_matches_polynomial_reference(name):
+    ring = build_ring(name)
+    assert ring.size <= 128
+    for a, b in itertools.product(range(ring.size), repeat=2):
+        assert ring.mul(a, b) == poly_mul(ring, a, b), (ring.label(a), ring.label(b))
+
+
+@pytest.mark.parametrize("name", MEDIUM_RINGS + UNIT_WALK_RINGS)
 def test_unit_scan_matches_definition(name):
     ring = build_ring(name)
-    assert ring.size <= 256
+    assert ring.size <= 900
     for x in ring.elements():
         reachable = {ring.mul(x, r) for r in ring.elements()}
         assert ring.is_unit(x) == (ring.one in reachable)
@@ -155,7 +182,7 @@ def test_unit_scan_matches_definition(name):
 def test_power_sequence_eventually_periodic(name):
     ring = build_ring(name)
     for x in ring.elements():
-        t, p = ring.power_rho(x)
+        t, p = power_rho(ring, x)
         assert 1 <= p and 0 <= t
         assert t + p <= ring.size
         for m in range(t + 1, t + p + 1):
