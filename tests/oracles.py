@@ -1,21 +1,59 @@
 """Independent brute-force oracles used to cross-check the library.
 
-The ring oracles work on raw element sets and the ring's arithmetic only:
-no IdealSet, no interning, no trajectory caches. The graph oracles read a
-built graph one vertex pair at a time through ``has_edge``, never a whole
-adjacency row. Costs are quadratic and worse on purpose; these are the
-referees, not the implementation.
+The ring oracles work on raw element sets, the ring's ``mul`` and their
+own digit-wise addition: no ``ring.add``, no IdealSet, no interning, no
+trajectory caches. The graph oracles read a built graph one vertex pair at
+a time through ``has_edge``, never a whole adjacency row. Costs are
+quadratic and worse on purpose; these are the referees, not the
+implementation.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 from ringgraphs.claims import GRID_RINGS, grid_ideals
 from ringgraphs.graphs import COZERO, EXTENDED, ZERO, build_level
 from ringgraphs.ideals import span_from_labels
-from ringgraphs.rings import build_ring
+from ringgraphs.rings import ModularRing, ProductRing, build_ring
+
+
+@functools.cache
+def _radices(desc):
+    """Digit radices of an element index, least significant first.
+
+    Z_n is one residue digit; a product concatenates its factors' digits,
+    first factor most significant; a quotient ring has one base-m digit per
+    residue monomial, the first monomial least significant.
+    """
+    if isinstance(desc, ModularRing):
+        return (desc.modulus,)
+    if isinstance(desc, ProductRing):
+        return tuple(r for f in reversed(desc.factors) for r in _radices(f))
+    return (desc.coefficient_modulus,) * math.prod(desc.exponents)
+
+
+def digit_add(ring, a, b):
+    """a + b read off the descriptor alone, one digit at a time."""
+    out, weight = 0, 1
+    for radix in _radices(ring.descriptor):
+        a, x = divmod(a, radix)
+        b, y = divmod(b, radix)
+        out += (x + y) % radix * weight
+        weight *= radix
+    return out
+
+
+def digit_neg(ring, a):
+    """-a read off the descriptor alone, one digit at a time."""
+    out, weight = 0, 1
+    for radix in _radices(ring.descriptor):
+        a, x = divmod(a, radix)
+        out += -x % radix * weight
+        weight *= radix
+    return out
 
 
 def closure_span(ring, generators):
@@ -25,7 +63,7 @@ def closure_span(ring, generators):
         nxt = set(current)
         for a in current:
             for b in current:
-                nxt.add(ring.add(a, b))
+                nxt.add(digit_add(ring, a, b))
         for g in current:
             for r in range(ring.size):
                 nxt.add(ring.mul(r, g))
@@ -37,7 +75,7 @@ def closure_span(ring, generators):
 def linear_combinations_span(ring, g1, g2):
     """All r*g1 + s*g2 for a two-generator ideal, by direct enumeration."""
     return {
-        ring.add(ring.mul(r, g1), ring.mul(s, g2))
+        digit_add(ring, ring.mul(r, g1), ring.mul(s, g2))
         for r in range(ring.size)
         for s in range(ring.size)
     }
@@ -46,7 +84,7 @@ def linear_combinations_span(ring, g1, g2):
 def coset_set(ring, j_members, value):
     """The set value*R + J by direct enumeration."""
     return {
-        ring.add(ring.mul(value, r), j) for r in range(ring.size) for j in j_members
+        digit_add(ring, ring.mul(value, r), j) for r in range(ring.size) for j in j_members
     }
 
 
@@ -168,7 +206,7 @@ def brute_conilpotency_index(ring, j_members):
     """Ring conilpotency index by literal scan with coset enumeration."""
     best = None
     for x in range(ring.size):
-        one_minus = ring.sub(ring.one, x)
+        one_minus = digit_add(ring, ring.one, digit_neg(ring, x))
         complement = coset_set(ring, j_members, one_minus)
         for k in range(1, ring.size + 2):
             xk = ring.pow(x, k)

@@ -140,6 +140,12 @@ def test_exit_code_on_bad_grammar(capsys):
     assert "error" in err
 
 
+def test_exit_code_on_stray_plus_in_ideal(capsys):
+    code, _, err = run_cli(capsys, "build", "--ring", "Z2[x]/(x^3)", "--ideal", "x+")
+    assert code == 2
+    assert "dangling sign" in err
+
+
 def test_exit_code_on_carrier_cap(capsys):
     code, _, err = run_cli(capsys, "build", "--ring", "Z70000")
     assert code == 2

@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import poly_mul, power_rho
+from oracles import digit_add, digit_neg, poly_mul, power_rho
 from ringgraphs.claims import GRID_RINGS
 from ringgraphs.rings import (
     CarrierTooLarge,
@@ -14,8 +14,10 @@ from ringgraphs.rings import (
     ParseError,
     PolyQuotientRing,
     ZeroModulus,
+    _QuotientRingOps,
     build_ring,
     descriptor_string,
+    parse_elements,
     parse_ring,
 )
 
@@ -77,6 +79,21 @@ def test_descriptor_errors():
         parse_ring("badness")
     with pytest.raises(ParseError):
         parse_ring("Z4[t]/(s^2)")
+    # a sign with no term after it, and an empty item in an element list
+    with pytest.raises(ParseError):
+        parse_ring("Z2[t]/(t^2+t+)")
+    ring = build_ring("Z5[x]/(x^3)")
+    for text in ("x+", "x++1", "x-", "+", "++x"):
+        with pytest.raises(ParseError):
+            ring.parse_label(text)
+    for text in ("x,,2", "x,", ",x", " , "):
+        with pytest.raises(ParseError):
+            parse_elements(ring, text)
+    x = ring.parse_label("x")
+    assert ring.parse_label("-x") == ring.neg(x)
+    assert ring.parse_label("+x") == x
+    assert ring.parse_label("x-1") == ring.parse_label("x+-1") == ring.sub(x, ring.one)
+    assert parse_elements(ring, "") == parse_elements(ring, "0") == ()
 
 
 def test_pow_examples():
@@ -167,6 +184,43 @@ def test_quotient_mul_matches_polynomial_reference(name):
     assert ring.size <= 128
     for a, b in itertools.product(range(ring.size), repeat=2):
         assert ring.mul(a, b) == poly_mul(ring, a, b), (ring.label(a), ring.label(b))
+
+
+# quotient add works on packed fields of w = (2m - 2).bit_length() bits plus
+# a flag bit; Z7 and Z8 have w = 4, and m = 8's largest digit sum, 14, uses
+# every bit below the flag; Z_n and product add get the same check
+ADD_RINGS = sorted({*QUOTIENT_RINGS, "Z7[x]/(x^2)", "Z8[x]/(x^2)", *SMALL_RINGS})
+# the two 65,536-element cap rings and the 729-element trajectory ring
+CAP_RINGS = ["Z2[x]/(x^16)", "Z4[x,y]/(x^4,y^2)", "Z3[x,y]/(x^3,y^2)"]
+
+
+@pytest.mark.parametrize("name", ADD_RINGS)
+def test_add_neg_sub_match_digit_reference(name):
+    ring = build_ring(name)
+    assert ring.size <= 128
+    for a in range(ring.size):
+        assert ring.neg(a) == digit_neg(ring, a)
+        for b in range(ring.size):
+            assert ring.add(a, b) == digit_add(ring, a, b), (ring.label(a), ring.label(b))
+            assert ring.sub(a, b) == digit_add(ring, a, digit_neg(ring, b))
+
+
+@given(name=st.sampled_from(CAP_RINGS), data=st.data())
+def test_add_neg_sub_sampled_on_cap_rings(name, data):
+    ring = build_ring(name)
+    idx = st.integers(min_value=0, max_value=ring.size - 1)
+    a, b = data.draw(idx), data.draw(idx)
+    assert ring.add(a, b) == digit_add(ring, a, b)
+    assert ring.neg(a) == digit_neg(ring, a)
+    assert ring.sub(a, b) == digit_add(ring, a, digit_neg(ring, b))
+
+
+def test_quotient_add_tables_are_built_on_first_add():
+    # a fresh ring: build_ring may hand back one that has already added
+    ring = _QuotientRingOps(parse_ring("Z2[x]/(x^16)"))
+    assert "_packed" not in vars(ring) and "_index" not in vars(ring)
+    assert ring.add(ring.one, ring.one) == ring.zero
+    assert len(vars(ring)["_index"]) == ring.size == 65536
 
 
 @pytest.mark.parametrize("name", MEDIUM_RINGS + UNIT_WALK_RINGS)
