@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import COZERO, GraphLevel, level_context
+from .graphs import GraphLevel, level_context
 from .ideals import set_bit_items, zero_ideal
 from .rings import ModularRing, Ring, prime_factorization
 
@@ -178,7 +178,7 @@ def zpnq_parts(ring: Ring) -> PartitionWitness:
         p, q = primes[1], primes[0]
     else:
         p, q = primes[0], primes[1]
-    verts = level_context(ring, zero_ideal(ring)).vertices(COZERO)
+    verts = level_context(ring, zero_ideal(ring)).vertices()
     v1, v2, v3 = [], [], []
     for x in verts:
         a = 0

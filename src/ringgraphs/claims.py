@@ -39,7 +39,6 @@ from .graphs import (
     adjacent,
     build_level,
     level_context,
-    vertex_set,
 )
 from .ideals import (
     IdealSet,
@@ -134,9 +133,6 @@ class _Resolved:
     def label(self, x: int) -> str:
         return self.ring.label(x)
 
-    def vertex_bits(self) -> int:
-        return sum(1 << v for v in self.ctx.vertices(COZERO))
-
 
 def _standing_ok(r: _Resolved) -> bool:
     """The blanket assumption: the ideal is proper and not maximal.
@@ -145,7 +141,7 @@ def _standing_ok(r: _Resolved) -> bool:
     maximal ideal strictly above J but outside J is a vertex, and a maximal
     or improper J has none.
     """
-    return bool(r.ctx.vertices(COZERO))
+    return bool(r.ctx.vertex_bits())
 
 
 def _first_pair(g: GraphLevel, masks: Iterable[int]) -> Optional[tuple[int, int]]:
@@ -356,7 +352,7 @@ def _run_vertex_membership(r: _Resolved):
     if not _standing_ok(r):
         return VACUOUS, None, "ideal is maximal or improper"
     ring, J = r.ring, r.J
-    vbits = r.vertex_bits()
+    vbits = r.ctx.vertex_bits()
     one = ring.one
     checked = 0
     # stable power in the vertex set forces 1 - x in
@@ -398,7 +394,7 @@ def _run_stable_adjacency(r: _Resolved):
     jac = jacobson_radical(ring)
     if not J.issubset(jac):
         return VACUOUS, None, "ideal is not inside the radical"
-    vbits = r.vertex_bits()
+    vbits = r.ctx.vertex_bits()
     checked = 0
     for x in range(ring.size):
         if ring.is_unit(x) or jac.contains(x):
@@ -811,6 +807,8 @@ def load_grid(path: str) -> list[ClaimInstance]:
             raise ParseError(f"grid entry {d!r} needs 'claim', 'ring' and 'ideal' strings")
         if d["claim"] not in CATALOG:
             raise ParseError(f"unknown claim id {d['claim']!r}")
+        if d.get("expected") not in (None, VERIFIED, REFUTED, VACUOUS, UNSUPPORTED):
+            raise ParseError(f"grid entry {d!r} has an unknown expected status")
         params = d.get("params") or {}
         if not isinstance(params, dict) or not all(
             v in ("ext", EXTENDED) or (type(v) is int and v >= 1) for v in params.values()
@@ -897,19 +895,19 @@ def _replay_element(ring: Ring, J: IdealSet, w: dict) -> bool:
         xi = ring_conilpotency_index(ring, J)
         return n % 2 == 0 and conilpotency_record(ring, J, x).index == n == xi
     xn, one_minus = ring.pow(x, n), ring.sub(ring.one, x)
-    verts = set(vertex_set(ring, J))
+    vbits = level_context(ring, J).vertex_bits()
     jac = jacobson_radical(ring)
     if condition == "x^n not a vertex despite 1-x being one":
-        return (
+        return bool(
             J.issubset(jac)
             and not ring.is_unit(x)
-            and one_minus in verts
-            and xn not in verts
+            and vbits >> one_minus & 1
+            and not vbits >> xn & 1
         )
     if xn != ring.pow(x, n + 1):
         return False
     if condition == "1-x not a vertex despite stable vertex power":
-        return xn in verts and one_minus not in verts
+        return bool(vbits >> xn & 1 and not vbits >> one_minus & 1)
     # the remaining conditions belong to C-CONIL and C-ADJ17
     if not J.issubset(jac) or ring.is_unit(x) or jac.contains(x):
         return False
@@ -921,7 +919,7 @@ def _replay_element(ring: Ring, J: IdealSet, w: dict) -> bool:
         return False
     if condition == "x^n equals 1-x":
         return xn == one_minus
-    pair_in = xn in verts and one_minus in verts
+    pair_in = bool(vbits >> xn & 1 and vbits >> one_minus & 1)
     if condition == "pair not inside the vertex set":
         return xn != one_minus and not pair_in
     if condition == "pair not adjacent at level 1":

@@ -11,7 +11,10 @@ Two kinds are built over the same machinery:
 
 Both kinds have the same vertex set: in the finite ring R/J multiplication
 by x is injective exactly when it is bijective, so a nonzero class is a
-zero-divisor exactly when it is not a unit.
+zero-divisor exactly when it is not a unit. That set needs no span: a finite
+ring is semilocal, so units lift modulo J (Bass, 1964), the units of R/J are
+the cosets u + J of the units u of R, and the vertex set is the complement of
+J together with U + J (``ideals.nonunit_bits``).
 
 Membership of any element in any ideal depends only on the ideal the element
 generates, so both adjacency tests factor through the interned ideals
@@ -46,7 +49,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, TypeVar, Union
 
-from .ideals import IdealSet, ideal_sum, set_bit_items
+from .ideals import IdealSet, ideal_sum, nonunit_bits, set_bit_items
 from .rings import Ring, descriptor_string
 
 COZERO = "cozero"
@@ -146,7 +149,7 @@ class GraphLevel:
 # ---------------------------------------------------------------------------
 
 class LevelContext:
-    """Shared trajectory, ideal-by-id and built-graph caches for one (ring, J) pair."""
+    """Shared vertex, trajectory, ideal-by-id and built-graph caches for one (ring, J) pair."""
 
     def __init__(self, ring: Ring, J: IdealSet):
         self.ring = ring
@@ -154,28 +157,23 @@ class LevelContext:
         self._traj: dict[int, PowerTrajectory] = {}
         self._ideal_by_id: dict[int, IdealSet] = {}
         self._rep_by_id: dict[int, int] = {}
+        self._vertex_bits: Optional[int] = None
         self._vertices: Optional[tuple[int, ...]] = None
         self._graphs: dict[tuple[int, str], GraphLevel] = {}
-        self._lock = threading.Lock()
 
     # vertex sets ---------------------------------------------------------
 
-    def vertices(self, kind: str) -> tuple[int, ...]:
+    def vertex_bits(self) -> int:
+        """The vertex set as a bitset; fixed by (ring, J), so racing fills agree."""
+        if self._vertex_bits is None:
+            self._vertex_bits = nonunit_bits(self.J)
+        return self._vertex_bits
+
+    def vertices(self) -> tuple[int, ...]:
         """The vertex set, which both kinds share (see the module docstring)."""
-        if kind not in (COZERO, ZERO):
-            raise ValueError(f"unknown graph kind {kind!r}")
-        got = self._vertices
-        if got is not None:
-            return got
-        with self._lock:
-            if self._vertices is None:
-                J, one = self.J, self.ring.one
-                self._vertices = tuple(
-                    x
-                    for x in range(self.ring.size)
-                    if not J.contains(x) and not ideal_sum(J, (x,)).contains(one)
-                )
-            return self._vertices
+        if self._vertices is None:
+            self._vertices = tuple(set_bit_items(self.vertex_bits(), range(self.ring.size)))
+        return self._vertices
 
     # trajectories --------------------------------------------------------
 
@@ -215,11 +213,7 @@ class LevelContext:
 
     def relation(self, kind: str) -> Callable[[int, int], bool]:
         """The symmetric relation on ideal ids that decides adjacency."""
-        if kind == COZERO:
-            return self._incomparable
-        if kind == ZERO:
-            return self._annihilating
-        raise ValueError(f"unknown graph kind {kind!r}")
+        return self._incomparable if kind == COZERO else self._annihilating
 
     def adjacent(self, x: int, y: int, i: int, kind: str) -> bool:
         if x == y:
@@ -231,11 +225,7 @@ class LevelContext:
         )
 
     def stabilization_bound(self) -> int:
-        verts = self.vertices(COZERO)
-        bound = 1
-        for x in verts:
-            bound = max(bound, len(self.trajectory(x).ideal_ids))
-        return bound
+        return max((len(self.trajectory(x).ideal_ids) for x in self.vertices()), default=1)
 
 
 def _prefixes_related(
@@ -267,7 +257,9 @@ def level_context(ring: Ring, J: IdealSet) -> LevelContext:
 
 def vertex_set(ring: Ring, J: IdealSet, kind: str = COZERO) -> tuple[int, ...]:
     """Sorted vertex list; empty when J is maximal or not proper."""
-    return level_context(ring, J).vertices(kind)
+    if kind not in (COZERO, ZERO):
+        raise ValueError(f"unknown graph kind {kind!r}")
+    return level_context(ring, J).vertices()
 
 
 def power_trajectory(ring: Ring, J: IdealSet, x: int) -> PowerTrajectory:
@@ -286,12 +278,11 @@ def stabilization_bound(ring: Ring, J: IdealSet) -> int:
 
 def adjacent(ring: Ring, J: IdealSet, x: int, y: int, i: Level, kind: str = COZERO) -> bool:
     """Adjacency of two vertices at a level (or at the stabilized limit)."""
+    verts = vertex_set(ring, J, kind)
+    for v in (x, y):
+        if v not in verts:
+            raise NotAVertex(f"{ring.label(v)} is not a vertex")
     ctx = level_context(ring, J)
-    verts = ctx.vertices(kind)
-    if x not in verts:
-        raise NotAVertex(f"{ring.label(x)} is not a vertex")
-    if y not in verts:
-        raise NotAVertex(f"{ring.label(y)} is not a vertex")
     lvl = ctx.stabilization_bound() if i == EXTENDED else int(i)
     if lvl < 1:
         raise ValueError("level must be >= 1 or EXTENDED")
@@ -300,6 +291,7 @@ def adjacent(ring: Ring, J: IdealSet, x: int, y: int, i: Level, kind: str = COZE
 
 def build_level(ring: Ring, J: IdealSet, i: Level, kind: str = COZERO) -> GraphLevel:
     """Materialize the full level graph with a symmetric adjacency matrix."""
+    verts = vertex_set(ring, J, kind)
     ctx = level_context(ring, J)
     requested_extended = i == EXTENDED
     lvl = ctx.stabilization_bound() if requested_extended else int(i)
@@ -307,7 +299,6 @@ def build_level(ring: Ring, J: IdealSet, i: Level, kind: str = COZERO) -> GraphL
         raise ValueError("level must be >= 1 or EXTENDED")
     concrete = ctx._graphs.get((lvl, kind))
     if concrete is None:
-        verts = ctx.vertices(kind)
         related = ctx.relation(kind)
         # twin classes: signature -> class index, and each class's member mask
         classes: dict[tuple[int, ...], int] = {}

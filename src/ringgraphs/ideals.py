@@ -31,6 +31,8 @@ T = TypeVar("T")
 
 # maps the digits of a binary numeral to the bytes 0 and 1
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+# maps unmarked (0) and marked (1) bytes to the binary digits 1 and 0
+_UNMARKED_DIGITS = bytes.maketrans(b"\0\1", b"10")
 
 
 def set_bit_items(bits: int, items: Sequence[T]) -> Iterator[T]:
@@ -202,31 +204,38 @@ def span_from_labels(ring: Ring, text: str) -> IdealSet:
 # Predicates
 # ---------------------------------------------------------------------------
 
-def is_maximal(J: IdealSet) -> bool:
-    """Proper, and adjoining any outside element generates the whole ring."""
-    if not J.is_proper():
-        return False
+def nonunit_bits(J: IdealSet) -> int:
+    """Bits of the elements outside J that are not units modulo J.
+
+    These are the x outside J with xR + J proper. A finite ring is
+    semilocal, so its units lift modulo any ideal (Bass, 1964): the units of
+    R/J are the cosets u + J of the units u of R. One sweep walks J = 0 + J
+    and each unit coset once, from the first member met, so the walks are
+    disjoint and take at most |R| additions in all.
+    """
     ring = J.ring
-    one = ring.one
-    for x in range(ring.size):
-        if J.contains(x):
-            continue
-        if not ideal_sum(J, (x,)).contains(one):
-            return False
-    return True
+    members = list(J.members())
+    marked = bytearray(ring.size)
+    for u in (ring.zero, *_indices(ring.unit_bits())):
+        if not marked[u]:
+            for j in members:
+                marked[ring.add(u, j)] = 1
+    return int(marked.translate(_UNMARKED_DIGITS)[::-1], 2)
+
+
+def is_maximal(J: IdealSet) -> bool:
+    """Proper, and every class of R/J but zero is a unit."""
+    return J.is_proper() and not nonunit_bits(J)
 
 
 def is_prime(J: IdealSet) -> bool:
-    """Proper, and xy in J forces x in J or y in J (exhaustive pair scan)."""
-    if not J.is_proper():
-        return False
-    ring = J.ring
-    outside = [x for x in range(ring.size) if not J.contains(x)]
-    for x in outside:
-        for y in outside:
-            if J.contains(ring.mul(x, y)):
-                return False
-    return True
+    """Proper, and xy in J forces x in J or y in J.
+
+    R/J is a finite domain exactly when J is prime, and a finite domain is a
+    field (multiplication by a nonzero class is injective, hence onto), so
+    the prime ideals of a finite ring are its maximal ideals.
+    """
+    return is_maximal(J)
 
 
 def is_semiprime(J: IdealSet) -> bool:

@@ -559,7 +559,6 @@ class _QuotientRingOps(Ring):
         self.monomials: list[tuple[int, ...]] = sorted(
             itertools.product(*(range(e) for e in desc.exponents))
         )
-        self.slot_of = {mono: k for k, mono in enumerate(self.monomials)}
         self._rewrite: Optional[tuple[int, dict[int, int]]] = None
         if desc.modulus_var is not None:
             d = desc.exponents[desc.modulus_var]
@@ -620,27 +619,26 @@ class _QuotientRingOps(Ring):
         return self._index[s - ((((s | self._H) - self._M) & self._H) >> self._w) * self.m]
 
     def _reduce(self, terms: dict[tuple[int, ...], int]) -> tuple[int, ...]:
-        digits = [0] * len(self.monomials)
-        stack = [(e, c) for e, c in terms.items() if c % self.m]
-        while stack:
-            exps, coeff = stack.pop()
-            coeff %= self.m
-            if not coeff:
-                continue
-            over = next((i for i, e in enumerate(exps) if e >= self.bounds[i]), None)
-            if over is None:
-                digits[self.slot_of[exps]] = (digits[self.slot_of[exps]] + coeff) % self.m
-                continue
-            if self._rewrite is None or self._rewrite[0] != over:
-                continue  # nilpotent relator kills the term
-            vi, repl = self._rewrite
-            base = list(exps)
-            base[vi] -= self.bounds[vi]
-            for deg, c in repl.items():
-                e2 = list(base)
-                e2[vi] += deg
-                stack.append((tuple(e2), coeff * c))
-        return tuple(digits)
+        """Digits of a polynomial modulo the relators, by long division.
+
+        A term past a nilpotent bound vanishes. The top degree of the modulus
+        variable is rewritten by the modulus tail, like terms merged, until
+        every degree is below the bound: one step per degree.
+        """
+        vi, repl = self._rewrite or (None, {})
+        poly = {
+            exps: c % self.m
+            for exps, c in terms.items()
+            if all(e < b for i, (e, b) in enumerate(zip(exps, self.bounds)) if i != vi)
+        }
+        while vi is not None and poly and (top := max(e[vi] for e in poly)) >= self.bounds[vi]:
+            low = top - self.bounds[vi]
+            for exps in [e for e in poly if e[vi] == top]:
+                coeff = poly.pop(exps)
+                for deg, c in repl.items():
+                    e2 = exps[:vi] + (low + deg,) + exps[vi + 1 :]
+                    poly[e2] = (poly.get(e2, 0) + coeff * c) % self.m
+        return tuple(poly.get(mono, 0) for mono in self.monomials)
 
     def mul(self, a, b):
         da, db = self.decode_digits(a), self.decode_digits(b)

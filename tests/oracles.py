@@ -104,6 +104,14 @@ def naive_vertices(ring, j_members, kind):
     return out
 
 
+def naive_is_prime(ring, j_members):
+    """Proper, and no two elements outside J multiply into J (pair scan)."""
+    outside = [x for x in range(ring.size) if x not in j_members]
+    return bool(outside) and not any(
+        ring.mul(x, y) in j_members for x in outside for y in outside
+    )
+
+
 def naive_adjacent(ring, j_members, x, y, i, kind, coset=None):
     """Literal definition, one coset enumeration per exponent pair.
 

@@ -243,11 +243,12 @@ def test_internal_value_error_is_not_reported_as_bad_input(monkeypatch, capsys):
         [{"claim": "C-TRI", "ring": "Z12", "params": {"n": 0}}],
         [{"claim": "C-EMPTY", "ring": "Z27", "ideal": 5}],
         [{"claim": "C-EMPTY", "ring": ["Z27"]}],
+        [{"claim": "C-TRI", "ring": "Z12", "expected": "VERIFEID"}],
         {"claim": "C-EMPTY", "ring": "Z27"},
         "[{",
     ],
     ids=["unknown-claim", "no-claim", "level-not-int", "n-zero", "ideal-not-string",
-         "ring-not-string", "not-a-list", "not-json"],
+         "ring-not-string", "expected-misspelled", "not-a-list", "not-json"],
 )
 def test_verify_malformed_grid_exits_2(tmp_path, capsys, payload):
     path = tmp_path / "grid.json"

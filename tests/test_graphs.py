@@ -1,11 +1,19 @@
 """Graph builder: vertex sets, adjacency, levels, trajectories, stabilization."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import coset_set, naive_adjacent, naive_edges, naive_vertices, power_rho
+from oracles import (
+    closure_span,
+    coset_set,
+    naive_adjacent,
+    naive_edges,
+    naive_vertices,
+    power_rho,
+)
 from ringgraphs.graphs import (
     COZERO,
     EXTENDED,
@@ -214,6 +222,42 @@ def test_oracle_equivalence_nonzero_ideal():
             for i in (1, 2):
                 g = build_level(z12, J, i, kind)
                 assert set(g.edges()) == naive_edges(z12, j_members, i, kind)
+
+
+# rings that are not local, where R/J can have several maximal ideals
+NONLOCAL_RINGS = ["Z6[x]/(x^2)", "Z2[t]/(t^2+t)", "Z10[x]/(x^2)", "Z2xZ3xZ5", "Z4xZ9"]
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES + NONLOCAL_RINGS)
+def test_oracle_equivalence_vertices_and_maximality(name):
+    # every principal J and a sample of two-generator J, each taken once
+    ring = build_ring(name)
+    pairs = list(itertools.combinations(range(1, ring.size), 2))
+    gen_sets = [(g,) for g in range(ring.size)]
+    gen_sets += random.Random(name).sample(pairs, min(8, len(pairs)))
+    seen = set()
+    for gens in gen_sets:
+        J = span(ring, gens)
+        if J.bits in seen:
+            continue
+        seen.add(J.bits)
+        j_members = closure_span(ring, gens)
+        assert set(J.members()) == j_members, (name, gens)
+        verts = naive_vertices(ring, j_members, COZERO)
+        assert list(vertex_set(ring, J, COZERO)) == verts, (name, gens)
+        assert list(vertex_set(ring, J, ZERO)) == naive_vertices(ring, j_members, ZERO)
+        assert is_maximal(J) == (len(j_members) < ring.size and not verts), (name, gens)
+
+
+def test_unknown_kind_is_rejected():
+    z12, J = zero_of("Z12")
+    with pytest.raises(ValueError):
+        vertex_set(z12, J, "bogus")
+    for i in (1, EXTENDED):
+        with pytest.raises(ValueError):
+            build_level(z12, J, i, "bogus")
+    with pytest.raises(ValueError):
+        adjacent(z12, J, 2, 3, 1, "bogus")
 
 
 @pytest.mark.parametrize("name", ["Z6", "Z12", "Z24", "Z36", "Z2[x,y]/(x^3,y^2)"])

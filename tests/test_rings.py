@@ -186,6 +186,26 @@ def test_quotient_mul_matches_polynomial_reference(name):
         assert ring.mul(a, b) == poly_mul(ring, a, b), (ring.label(a), ring.label(b))
 
 
+def test_parse_label_reduces_high_powers():
+    # t^3 = 1 in this field of four elements, so t^200 = t^2
+    ring = build_ring("Z2[t]/(t^2+t+1)")
+    assert ring.parse_label("t^200") == ring.parse_label("t^2")
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in QUOTIENT_RINGS if parse_ring(n).modulus_var is not None]
+)
+def test_parse_label_matches_pow_on_high_powers(name):
+    ring = build_ring(name)
+    gens = {v: ring.parse_label(v) for v in ring.variables}
+    for v, x in gens.items():
+        for e in (*range(1, 13), 40, 97, 200):
+            assert ring.parse_label(f"{v}^{e}") == ring.pow(x, e), (v, e)
+    # two high powers reduce term by term, and their reductions add
+    *_, (v, x) = gens.items()
+    assert ring.parse_label(f"{v}^60+{v}^63") == ring.add(ring.pow(x, 60), ring.pow(x, 63))
+
+
 # quotient add works on packed fields of w = (2m - 2).bit_length() bits plus
 # a flag bit; Z7 and Z8 have w = 4, and m = 8's largest digit sum, 14, uses
 # every bit below the flag; Z_n and product add get the same check
