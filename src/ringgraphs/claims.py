@@ -333,7 +333,7 @@ def _run_conilpotent_elements(r: _Resolved):
         if ring.is_unit(x) or jac.contains(x):
             continue
         one_minus = ring.sub(ring.one, x)
-        complement = ideal_sum(J, (one_minus,))
+        complement = r.ctx.ideal_of_power(one_minus, 1)
         for n in _stable_power_exponents(ring, x):
             checked += 1
             power_ideal = r.ctx.ideal_of_power(x, n)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .graphs import level_context
-from .ideals import IdealSet, ideal_sum
+from .ideals import IdealSet
 from .rings import Ring
 
 
@@ -34,7 +34,10 @@ def conilpotency_record(ring: Ring, J: IdealSet, x: int) -> ConilpotencyRecord:
     ctx = level_context(ring, J)
     bound = len(ctx.trajectory(x).ideal_ids)
     one_minus_x = ring.sub(ring.one, x)
-    complement_ideal = ideal_sum(J, (one_minus_x,))
+    if not ctx.vertex_bits() >> one_minus_x & 1:
+        # R(1 - x) + J is R, which holds every power, or 1 - x lies in J
+        return ConilpotencyRecord(x, False, None, bound)
+    complement_ideal = ctx.ideal_of_power(one_minus_x, 1)
     for k in range(1, bound + 1):
         power_ideal = ctx.ideal_of_power(x, k)
         if power_ideal.contains(one_minus_x):

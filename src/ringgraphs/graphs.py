@@ -41,6 +41,16 @@ stabilization level at which the graphs stop growing. Two consequences
 decide claims without a search: x^n y lies in yR, so a power multiple of y
 is never adjacent to y at level 1; and for an idempotent y,
 (xy)^m = x^m y lies in y^nR, so xy is never adjacent to y at any level.
+
+The chain is constant on each orbit Ux + J, for U the units of R: with u a
+unit and j in J, (ux + j)^m lies in u^m x^m + J, and u^m is a unit, so
+(ux + j)^m R + J = x^m R + J for every m. Conversely, if xR + J = yR + J then
+x and y are associates in the finite ring R/J, hence unit multiples of each
+other there, and the unit lifts to R; so the first ideal xR + J names the
+orbit, and the twin classes are exactly the orbits, at every level.
+``LevelContext.trajectory`` builds one chain per orbit and hands it to every
+member; a non-vertex has the one-ideal chain J (x in J) or R (x a unit
+modulo J) and needs no span.
 """
 
 from __future__ import annotations
@@ -49,7 +59,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, TypeVar, Union
 
-from .ideals import IdealSet, ideal_sum, nonunit_bits, set_bit_items
+from .ideals import IdealSet, ideal_sum, nonunit_bits, set_bit_items, unit_ideal
 from .rings import Ring, descriptor_string
 
 COZERO = "cozero"
@@ -182,6 +192,12 @@ class LevelContext:
         if got is not None:
             return got
         ring, J = self.ring, self.J
+        if not self.vertex_bits() >> x & 1:
+            # every power of a member of J stays in J, of a unit mod J is a unit
+            I = J if J.contains(x) else unit_ideal(ring)
+            self._ideal_by_id.setdefault(I.ideal_id, I)
+            self._rep_by_id.setdefault(I.ideal_id, x)
+            return PowerTrajectory(element=x, ideal_ids=(I.ideal_id,), preperiod=0)
         ids: list[int] = []
         p = x  # the running power x^m
         while True:
@@ -193,8 +209,18 @@ class LevelContext:
                 self._ideal_by_id[I.ideal_id] = I
                 self._rep_by_id[I.ideal_id] = p
             p = ring.mul(p, x)
-        traj = PowerTrajectory(element=x, ideal_ids=tuple(ids), preperiod=len(ids) - 1)
-        self._traj[x] = traj
+        chain = tuple(ids)
+        traj = PowerTrajectory(element=x, ideal_ids=chain, preperiod=len(chain) - 1)
+        # the chain is constant on the orbit Ux + J, a union of J-cosets, so
+        # an unmarked ux means an unmarked coset ux + J
+        members = list(J.members())
+        for u in set_bit_items(ring.unit_bits(), range(ring.size)):
+            y = ring.mul(u, x)
+            if y in self._traj:
+                continue
+            for j in members:
+                z = ring.add(y, j)
+                self._traj[z] = PowerTrajectory(z, chain, traj.preperiod)
         return traj
 
     def ideal_of_power(self, x: int, m: int) -> IdealSet:
@@ -300,16 +326,20 @@ def build_level(ring: Ring, J: IdealSet, i: Level, kind: str = COZERO) -> GraphL
     concrete = ctx._graphs.get((lvl, kind))
     if concrete is None:
         related = ctx.relation(kind)
-        # twin classes: signature -> class index, and each class's member mask
-        classes: dict[tuple[int, ...], int] = {}
-        class_of = [
-            classes.setdefault(ctx.trajectory(v).ideal_ids[:lvl], len(classes))
-            for v in verts
-        ]
+        # twin classes are orbits, named by their first ideal xR + J: class
+        # index per first id, each class's signature and member mask
+        classes: dict[int, int] = {}
+        signatures: list[tuple[int, ...]] = []
+        class_of = []
+        for v in verts:
+            ids = ctx.trajectory(v).ideal_ids
+            c = classes.setdefault(ids[0], len(classes))
+            if c == len(signatures):
+                signatures.append(ids[:lvl])
+            class_of.append(c)
         members = [0] * len(classes)
         for k, c in enumerate(class_of):
             members[c] |= 1 << k
-        signatures = list(classes)
         neighbours = [0] * len(classes)
         for a, sa in enumerate(signatures):
             for b in range(a, len(signatures)):

@@ -522,6 +522,22 @@ class _ProductRingOps(Ring):
     def coordinates(self, a):
         return tuple(f.coordinates(c) for f, c in zip(self.factor_rings, self.decode(a)))
 
+    def _compute_unit_bits(self):
+        """A tuple is a unit iff each component is a unit of its factor.
+
+        A unit's index is sum(c_i * w_i) over unit components c_i and the
+        mixed-radix weights w_i, so each factor's units shift the partial set.
+        """
+        bits = 1
+        for f, w in zip(self.factor_rings, self._weights):
+            units = f.unit_bits()
+            layer = 0
+            for c in range(f.size):
+                if units >> c & 1:
+                    layer |= bits << (c * w)
+            bits = layer
+        return bits
+
     def label(self, a):
         comps = self.decode(a)
         return "(" + ",".join(f.label(c) for f, c in zip(self.factor_rings, comps)) + ")"

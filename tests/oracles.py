@@ -83,9 +83,8 @@ def linear_combinations_span(ring, g1, g2):
 
 def coset_set(ring, j_members, value):
     """The set value*R + J by direct enumeration."""
-    return {
-        digit_add(ring, ring.mul(value, r), j) for r in range(ring.size) for j in j_members
-    }
+    multiples = {ring.mul(value, r) for r in range(ring.size)}
+    return {digit_add(ring, a, j) for a in multiples for j in j_members}
 
 
 def naive_vertices(ring, j_members, kind):

@@ -5,8 +5,8 @@ import pytest
 from oracles import brute_conilpotency_index, coset_set, power_rho
 from ringgraphs.claims import GRID_RINGS, _stable_power_exponents
 from ringgraphs.conilpotency import conilpotency_record, ring_conilpotency_index
-from ringgraphs.graphs import build_level, stabilization_bound, vertex_set
-from ringgraphs.ideals import jacobson_radical, span, zero_ideal
+from ringgraphs.graphs import build_level, power_trajectory, stabilization_bound, vertex_set
+from ringgraphs.ideals import jacobson_radical, span_from_labels, zero_ideal
 from ringgraphs.rings import build_ring
 
 
@@ -50,11 +50,12 @@ def test_matches_brute_force_zero_ideal(name):
 
 
 def test_matches_brute_force_nonzero_ideal():
-    z12 = build_ring("Z12")
-    for gens in ([6], [4]):
-        J = span(z12, gens)
-        assert ring_conilpotency_index(z12, J) == brute_conilpotency_index(
-            z12, set(J.members())
+    cases = [("Z12", "6"), ("Z12", "4"), ("Z4[x]/(x^2)", "2"), ("Z6[x]/(x^2)", "3"), ("Z6[x]/(x^2)", "x")]
+    for name, label in cases:
+        ring = build_ring(name)
+        J = span_from_labels(ring, label)
+        assert ring_conilpotency_index(ring, J) == brute_conilpotency_index(
+            ring, set(J.members())
         )
 
 
@@ -67,6 +68,7 @@ def test_search_bound_is_sound(name):
     j_members = set(J.members())
     for x in ring.elements():
         rec = conilpotency_record(ring, J, x)
+        assert rec.search_bound == len(power_trajectory(ring, J, x).ideal_ids)
         one_minus = ring.sub(ring.one, x)
         complement = coset_set(ring, j_members, one_minus)
         found = None

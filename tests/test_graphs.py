@@ -9,15 +9,18 @@ from hypothesis import given, strategies as st
 from oracles import (
     closure_span,
     coset_set,
+    digit_add,
     naive_adjacent,
     naive_edges,
     naive_vertices,
     power_rho,
 )
+from ringgraphs import graphs
 from ringgraphs.graphs import (
     COZERO,
     EXTENDED,
     ZERO,
+    LevelContext,
     NotAVertex,
     adjacent,
     build_level,
@@ -315,15 +318,53 @@ def small_grid():
             yield ring, span_from_labels(ring, label)
 
 
+# quotient rings with nonzero J beside the small grid, and a Galois ring
+# (modulus rewrite) whose only proper nonzero ideal (2) is maximal
+TRAJECTORY_QUOTIENT_CASES = [
+    ("Z2[x,y]/(x^3,y^2)", "y"),
+    ("Z6[x]/(x^2)", "0"),
+    ("Z6[x]/(x^2)", "3"),
+    ("Z6[x]/(x^2)", "2*x"),
+    ("Z6[x]/(x^2)", "x"),
+    ("Z4[t]/(t^3+t+1)", "0"),
+    ("Z4[t]/(t^3+t+1)", "2"),
+]
+
+
+def trajectory_cases():
+    yield from small_grid()
+    for name, label in TRAJECTORY_QUOTIENT_CASES:
+        ring = build_ring(name)
+        yield ring, span_from_labels(ring, label)
+
+
 def test_power_trajectory_is_descending_chain():
     # x^{m+1}R + J lies in x^mR + J and the chain is constant from its first
     # repeat, so the trajectory stops there; the value cycle's horizon
-    # t + p + 1 from power_rho checks the tail independently
-    for ring, J in small_grid():
-        j_members = set(J.members())
-        for x in vertex_set(ring, J):
+    # t + p + 1 from power_rho checks the tail independently. Every element
+    # is checked, units and members of J included; a fresh context filled in
+    # reverse carrier order marks the same chains; and the chain of ux + j is
+    # the chain of x, by principal_plus and by the coset oracle
+    for ring, J in trajectory_cases():
+        j_members = sorted(J.members())
+        j_set = set(j_members)
+        units = [u for u in ring.elements() if ring.is_unit(u)]
+        rng = random.Random(f"{ring!r} {J.bits}")
+        cosets_of = {}  # value -> value*R + J, each enumerated once
+
+        def cosets(v):
+            if v not in cosets_of:
+                cosets_of[v] = coset_set(ring, j_set, v)
+            return cosets_of[v]
+
+        fresh = LevelContext(ring, J)
+        for x in reversed(ring.elements()):
+            fresh.trajectory(x)
+        for x in ring.elements():
             traj = power_trajectory(ring, J, x)
             ids = traj.ideal_ids
+            assert traj.element == x
+            assert fresh.trajectory(x) == traj
             assert len(set(ids)) == len(ids)
             assert traj.preperiod == len(ids) - 1
             t, p = power_rho(ring, x)
@@ -331,8 +372,36 @@ def test_power_trajectory_is_descending_chain():
                 ideal = principal_plus(x, m, J)
                 assert ideal.ideal_id == traj.id_at(m)
                 if m <= len(ids) + 1:
-                    expected = coset_set(ring, j_members, ring.pow(x, m))
-                    assert set(ideal.members()) == expected
+                    assert set(ideal.members()) == cosets(ring.pow(x, m))
+            for u, j in zip(rng.sample(units, min(2, len(units))), rng.choices(j_members, k=2)):
+                y = digit_add(ring, ring.mul(u, x), j)
+                assert power_trajectory(ring, J, y).ideal_ids == ids
+                for m in range(1, len(ids) + 2):
+                    assert principal_plus(y, m, J).ideal_id == traj.id_at(m)
+                    assert cosets(ring.pow(y, m)) == cosets(ring.pow(x, m))
+
+
+def test_trajectory_spans_once_per_orbit(monkeypatch):
+    # one chain per orbit Ux + J costs len(chain) + 1 calls of ideal_sum, so a
+    # return to one span per vertex fails here, not only in the benchmark
+    ring = build_ring("Z2[x]/(x^7)")
+    J = zero_ideal(ring)
+    units = [u for u in ring.elements() if ring.is_unit(u)]
+    orbits = {
+        frozenset(ring.add(ring.mul(u, v), j) for u in units for j in J.members())
+        for v in vertex_set(ring, J)
+    }
+    budget = sum(len(power_trajectory(ring, J, min(o)).ideal_ids) + 1 for o in orbits)
+    calls = []
+    real = graphs.ideal_sum
+
+    def counting(J, values):
+        calls.append(values)
+        return real(J, values)
+
+    monkeypatch.setattr(graphs, "ideal_sum", counting)
+    assert LevelContext(ring, J).stabilization_bound() == 7
+    assert 0 < len(calls) <= budget == 26
 
 
 def test_vertex_set_nonempty_iff_proper_non_maximal():

@@ -13,6 +13,7 @@ from ringgraphs.rings import (
     NonMonicModulus,
     ParseError,
     PolyQuotientRing,
+    Ring,
     ZeroModulus,
     _QuotientRingOps,
     build_ring,
@@ -261,6 +262,20 @@ def test_power_sequence_eventually_periodic(name):
         assert t + p <= ring.size
         for m in range(t + 1, t + p + 1):
             assert ring.pow(x, m) == ring.pow(x, m + p)
+
+
+# every product ring of the grid and of the oracle ring lists, plus three- and
+# four-factor products
+PRODUCT_RINGS = ["Z4xZ9", "Z2xZ2", "Z2xZ3", "Z2xZ3xZ5", "Z4xZ9xZ25", "Z2xZ4", "Z8xZ3xZ2xZ5"]
+
+
+@pytest.mark.parametrize("name", PRODUCT_RINGS)
+def test_product_unit_bits_match_power_walk(name):
+    # a tuple is a unit iff each component is one; the generic power walk of
+    # Ring._compute_unit_bits decides the same set without the factors
+    ring = build_ring(name)
+    assert type(ring)._compute_unit_bits is not Ring._compute_unit_bits
+    assert ring.unit_bits() == Ring._compute_unit_bits(ring)
 
 
 def test_modular_unit_scan_large():
