@@ -123,9 +123,7 @@ class _Resolved:
         self.ctx = level_context(self.ring, self.J)
 
     def level(self, i) -> int:
-        if i == EXTENDED or i == "ext":
-            return self.ctx.stabilization_bound()
-        return int(i)
+        return self.ctx.level(EXTENDED if i == "ext" else i)
 
     def graph(self, i, kind: str = COZERO) -> GraphLevel:
         return build_level(self.ring, self.J, self.level(i), kind)
@@ -304,8 +302,8 @@ def _run_xi_parity(r: _Resolved):
     return REFUTED, witness, f"ring index {xi} is even"
 
 
-def _stable_power_exponents(ring: Ring, x: int) -> tuple[int, ...]:
-    """The least n with x^n = x^(n+1), if there is one.
+def _stable_power(ring: Ring, x: int) -> Optional[tuple[int, int]]:
+    """The least n with x^n = x^(n+1), and x^n, if there is such an n.
 
     In each local factor of R, x is a unit, whose powers are purely periodic,
     or nilpotent of some index k with 2^k <= |R| (see ``jacobson_radical``).
@@ -316,9 +314,9 @@ def _stable_power_exponents(ring: Ring, x: int) -> tuple[int, ...]:
     for n in range(1, ring.size.bit_length() + 1):
         q = ring.mul(p, x)
         if q == p:
-            return (n,)
+            return n, p
         p = q
-    return ()
+    return None
 
 
 def _run_conilpotent_elements(r: _Resolved):
@@ -332,17 +330,20 @@ def _run_conilpotent_elements(r: _Resolved):
     for x in range(ring.size):
         if ring.is_unit(x) or jac.contains(x):
             continue
+        stable = _stable_power(ring, x)
+        if stable is None:
+            continue
+        n, _ = stable
+        checked += 1
         one_minus = ring.sub(ring.one, x)
-        complement = r.ctx.ideal_of_power(one_minus, 1)
-        for n in _stable_power_exponents(ring, x):
-            checked += 1
-            power_ideal = r.ctx.ideal_of_power(x, n)
-            if power_ideal.contains(one_minus):
-                witness = _element_witness(r, x, n, "1-x inside x^n R + J")
-                return REFUTED, witness, "first non-membership fails"
-            if power_ideal.issubset(complement):
-                witness = _element_witness(r, x, n, "x^n inside R(1-x) + J")
-                return REFUTED, witness, "second non-membership fails"
+        complement = r.ctx.trajectory(one_minus).ideals[0]
+        power_ideal = r.ctx.trajectory(x).ideal_at(n)
+        if power_ideal.contains(one_minus):
+            witness = _element_witness(r, x, n, "1-x inside x^n R + J")
+            return REFUTED, witness, "first non-membership fails"
+        if power_ideal.issubset(complement):
+            witness = _element_witness(r, x, n, "x^n inside R(1-x) + J")
+            return REFUTED, witness, "second non-membership fails"
     if checked == 0:
         return VACUOUS, None, "no non-unit outside the radical has a stable power"
     return VERIFIED, None, f"{checked} stable-power cases verified"
@@ -357,16 +358,15 @@ def _run_vertex_membership(r: _Resolved):
     checked = 0
     # stable power in the vertex set forces 1 - x in
     for x in range(ring.size):
-        for n in _stable_power_exponents(ring, x):
-            xn = ring.pow(x, n)
-            if not vbits >> xn & 1:
-                continue
-            checked += 1
-            if not vbits >> ring.sub(one, x) & 1:
-                witness = _element_witness(
-                    r, x, n, "1-x not a vertex despite stable vertex power"
-                )
-                return REFUTED, witness, "forward membership fails"
+        stable = _stable_power(ring, x)
+        if stable is None or not vbits >> stable[1] & 1:
+            continue
+        checked += 1
+        if not vbits >> ring.sub(one, x) & 1:
+            witness = _element_witness(
+                r, x, stable[0], "1-x not a vertex despite stable vertex power"
+            )
+            return REFUTED, witness, "forward membership fails"
     # with J inside the radical, 1 - x a vertex forces every power in
     jac = jacobson_radical(ring)
     if J.issubset(jac):
@@ -375,7 +375,7 @@ def _run_vertex_membership(r: _Resolved):
                 continue
             if not vbits >> ring.sub(one, x) & 1:
                 continue
-            for n in range(1, len(r.ctx.trajectory(x).ideal_ids) + 1):
+            for n in range(1, len(r.ctx.trajectory(x).ideals) + 1):
                 checked += 1
                 if not vbits >> ring.pow(x, n) & 1:
                     witness = _element_witness(
@@ -399,25 +399,27 @@ def _run_stable_adjacency(r: _Resolved):
     for x in range(ring.size):
         if ring.is_unit(x) or jac.contains(x):
             continue
-        for n in _stable_power_exponents(ring, x):
-            checked += 1
-            u = ring.pow(x, n)
-            v = ring.sub(ring.one, x)
-            witness = {
-                "kind": "element",
-                "x": r.label(x),
-                "n": n,
-                "pair": [r.label(u), r.label(v)],
-            }
-            if u == v:
-                witness["condition"] = "x^n equals 1-x"
-                return REFUTED, witness, "pair collapses to one element"
-            if not (vbits >> u & 1 and vbits >> v & 1):
-                witness["condition"] = "pair not inside the vertex set"
-                return REFUTED, witness, "pair leaves the vertex set"
-            if not r.ctx.adjacent(u, v, 1, COZERO):
-                witness["condition"] = "pair not adjacent at level 1"
-                return REFUTED, witness, "adjacency fails at level 1"
+        stable = _stable_power(ring, x)
+        if stable is None:
+            continue
+        checked += 1
+        n, u = stable
+        v = ring.sub(ring.one, x)
+        witness = {
+            "kind": "element",
+            "x": r.label(x),
+            "n": n,
+            "pair": [r.label(u), r.label(v)],
+        }
+        if u == v:
+            witness["condition"] = "x^n equals 1-x"
+            return REFUTED, witness, "pair collapses to one element"
+        if not (vbits >> u & 1 and vbits >> v & 1):
+            witness["condition"] = "pair not inside the vertex set"
+            return REFUTED, witness, "pair leaves the vertex set"
+        if not r.ctx.adjacent(u, v, 1, COZERO):
+            witness["condition"] = "pair not adjacent at level 1"
+            return REFUTED, witness, "adjacency fails at level 1"
     if checked == 0:
         return VACUOUS, None, "no non-unit outside the radical has a stable power"
     return VERIFIED, None, f"{checked} adjacency cases verified"

@@ -32,14 +32,14 @@ class ConilpotencyRecord:
 def conilpotency_record(ring: Ring, J: IdealSet, x: int) -> ConilpotencyRecord:
     """Scan k = 1 .. bound for the defining pair of non-memberships."""
     ctx = level_context(ring, J)
-    bound = len(ctx.trajectory(x).ideal_ids)
+    power_ideals = ctx.trajectory(x).ideals
+    bound = len(power_ideals)
     one_minus_x = ring.sub(ring.one, x)
     if not ctx.vertex_bits() >> one_minus_x & 1:
         # R(1 - x) + J is R, which holds every power, or 1 - x lies in J
         return ConilpotencyRecord(x, False, None, bound)
-    complement_ideal = ctx.ideal_of_power(one_minus_x, 1)
-    for k in range(1, bound + 1):
-        power_ideal = ctx.ideal_of_power(x, k)
+    complement_ideal = ctx.trajectory(one_minus_x).ideals[0]
+    for k, power_ideal in enumerate(power_ideals, 1):
         if power_ideal.contains(one_minus_x):
             continue
         if power_ideal.issubset(complement_ideal):

@@ -11,7 +11,7 @@ import json
 from json.encoder import encode_basestring_ascii
 from typing import Union
 
-from .graphs import COZERO, EXTENDED, ZERO, GraphLevel, later_items, stabilization_bound
+from .graphs import COZERO, EXTENDED, ZERO, GraphLevel, later_items, level_context
 from .ideals import span
 from .rings import ParseError, Ring, build_ring, descriptor_string
 
@@ -146,18 +146,16 @@ def load_graph_json(text: Union[str, dict]) -> GraphLevel:
         x, y = ends
         rows[pos[x]] |= 1 << pos[y]
         rows[pos[y]] |= 1 << pos[x]
-    level_field = data["i"]
-    requested_extended = level_field == EXTENDED
-    if not requested_extended and not (type(level_field) is int and level_field >= 1):
-        raise ParseError(f"graph JSON has a bad level {level_field!r}")
-    # the file names the extended level, so resolve it as build_level does
-    level = stabilization_bound(ring, ideal) if requested_extended else level_field
+    try:
+        level = level_context(ring, ideal).level(data["i"])
+    except ValueError as exc:
+        raise ParseError(f"graph JSON has a bad level {data['i']!r}") from exc
     return GraphLevel(
         ring=ring,
         ideal=ideal,
         kind=kind,
         level=level,
-        requested_extended=requested_extended,
+        requested_extended=data["i"] == EXTENDED,
         vertices=vertices,
         rows=tuple(rows),
     )

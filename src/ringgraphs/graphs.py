@@ -18,14 +18,14 @@ J together with U + J (``ideals.nonunit_bits``).
 
 Membership of any element in any ideal depends only on the ideal the element
 generates, so both adjacency tests factor through the interned ideals
-x^mR + J, and one loop over those ideal ids serves both kinds. Only the
-relation on an id pair (a, b) differs: the cozero kind asks for a and b to be
-incomparable, the zero kind for a != J, b != J and rep(a) * rep(b) in J,
-where rep(a) is any element generating a over J. The zero relation is exact
-because x^n y^m lies in J iff the product (x^nR + J)(y^mR + J) lies in J.
+x^mR + J, and one loop over those ideals serves both kinds. Only the
+relation on an ideal pair (A, B) differs: the cozero kind asks for A and B to
+be incomparable, the zero kind for A != J, B != J and p * q in J, where p and
+q are powers generating A and B over J. The zero relation is exact because
+x^n y^m lies in J iff the product (x^nR + J)(y^mR + J) lies in J.
 
 Adjacency at level i therefore depends on x only through its signature, the
-ids of x^mR + J for m <= i, and vertices sharing a signature are twins. A
+ideals x^mR + J for m <= i, and vertices sharing a signature are twins. A
 level graph is a blow-up of the small graph on signature classes (the
 compressed zero-divisor graph of Mulay and of Anderson--LaGrange), so
 ``build_level`` decides the relation once per unordered class pair and
@@ -48,16 +48,16 @@ unit and j in J, (ux + j)^m lies in u^m x^m + J, and u^m is a unit, so
 x and y are associates in the finite ring R/J, hence unit multiples of each
 other there, and the unit lifts to R; so the first ideal xR + J names the
 orbit, and the twin classes are exactly the orbits, at every level.
-``LevelContext.trajectory`` builds one chain per orbit and hands it to every
-member; a non-vertex has the one-ideal chain J (x in J) or R (x a unit
-modulo J) and needs no span.
+``LevelContext.trajectory`` builds one chain per orbit and hands that one
+object to every member; a non-vertex has the one-ideal chain J (x in J) or R
+(x a unit modulo J) and needs no span.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence, TypeVar, Union
+from dataclasses import dataclass, field, replace
+from typing import Iterator, Optional, Sequence, TypeVar, Union
 
 from .ideals import IdealSet, ideal_sum, nonunit_bits, set_bit_items, unit_ideal
 from .rings import Ring, descriptor_string
@@ -86,20 +86,21 @@ def later_items(row: int, k: int, items: Sequence[T]) -> Iterator[T]:
 
 @dataclass(frozen=True)
 class PowerTrajectory:
-    """Ideal ids of x^m R + J for m = 1, 2, ... up to the chain's first repeat.
+    """The ideals x^m R + J for m = 1, 2, ... up to the chain's first repeat.
 
-    ``ideal_ids`` is strictly descending and ends at the stable ideal, which
-    every later exponent keeps; ``preperiod`` is ``len(ideal_ids) - 1``.
+    ``ideals`` is strictly descending and ends at the stable ideal, which
+    every later exponent keeps. ``powers[m - 1]`` is the m-th power of the
+    member that built the chain and generates ``ideals[m - 1]`` over J; the
+    chain is the orbit's, the powers one member's, so they are not compared.
     """
 
-    element: int
-    ideal_ids: tuple[int, ...]
-    preperiod: int
+    ideals: tuple[IdealSet, ...]
+    powers: tuple[int, ...] = field(compare=False)
 
-    def id_at(self, m: int) -> int:
+    def ideal_at(self, m: int) -> IdealSet:
         if m < 1:
             raise ValueError("exponent must be >= 1")
-        return self.ideal_ids[min(m, len(self.ideal_ids)) - 1]
+        return self.ideals[min(m, len(self.ideals)) - 1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,14 +160,12 @@ class GraphLevel:
 # ---------------------------------------------------------------------------
 
 class LevelContext:
-    """Shared vertex, trajectory, ideal-by-id and built-graph caches for one (ring, J) pair."""
+    """Shared vertex, trajectory and built-graph caches for one (ring, J) pair."""
 
     def __init__(self, ring: Ring, J: IdealSet):
         self.ring = ring
         self.J = J
         self._traj: dict[int, PowerTrajectory] = {}
-        self._ideal_by_id: dict[int, IdealSet] = {}
-        self._rep_by_id: dict[int, int] = {}
         self._vertex_bits: Optional[int] = None
         self._vertices: Optional[tuple[int, ...]] = None
         self._graphs: dict[tuple[int, str], GraphLevel] = {}
@@ -195,22 +194,18 @@ class LevelContext:
         if not self.vertex_bits() >> x & 1:
             # every power of a member of J stays in J, of a unit mod J is a unit
             I = J if J.contains(x) else unit_ideal(ring)
-            self._ideal_by_id.setdefault(I.ideal_id, I)
-            self._rep_by_id.setdefault(I.ideal_id, x)
-            return PowerTrajectory(element=x, ideal_ids=(I.ideal_id,), preperiod=0)
-        ids: list[int] = []
+            return PowerTrajectory(ideals=(I,), powers=(x,))
+        ideals: list[IdealSet] = []
+        powers: list[int] = []
         p = x  # the running power x^m
         while True:
             I = ideal_sum(J, (p,))
-            if ids and I.ideal_id == ids[-1]:
+            if ideals and I is ideals[-1]:
                 break
-            ids.append(I.ideal_id)
-            if I.ideal_id not in self._ideal_by_id:
-                self._ideal_by_id[I.ideal_id] = I
-                self._rep_by_id[I.ideal_id] = p
+            ideals.append(I)
+            powers.append(p)
             p = ring.mul(p, x)
-        chain = tuple(ids)
-        traj = PowerTrajectory(element=x, ideal_ids=chain, preperiod=len(chain) - 1)
+        traj = PowerTrajectory(ideals=tuple(ideals), powers=tuple(powers))
         # the chain is constant on the orbit Ux + J, a union of J-cosets, so
         # an unmarked ux means an unmarked coset ux + J
         members = list(J.members())
@@ -219,46 +214,42 @@ class LevelContext:
             if y in self._traj:
                 continue
             for j in members:
-                z = ring.add(y, j)
-                self._traj[z] = PowerTrajectory(z, chain, traj.preperiod)
+                self._traj[ring.add(y, j)] = traj
         return traj
 
-    def ideal_of_power(self, x: int, m: int) -> IdealSet:
-        return self._ideal_by_id[self.trajectory(x).id_at(m)]
+    # levels and adjacency ------------------------------------------------
 
-    # adjacency -----------------------------------------------------------
+    def level(self, i: Level) -> int:
+        """The concrete level of ``i``: an int >= 1, or EXTENDED for the stable one."""
+        if i == EXTENDED:
+            return self.stabilization_bound()
+        if type(i) is not int or i < 1:
+            raise ValueError(f"level must be an int >= 1 or {EXTENDED!r}, not {i!r}")
+        return i
 
-    def _incomparable(self, a: int, b: int) -> bool:
-        return not self._ideal_by_id[a].comparable(self._ideal_by_id[b])
+    def related(self, kind: str, ta: PowerTrajectory, tb: PowerTrajectory, i: int) -> bool:
+        """Some ideal of one chain's first i is related to some of the other's.
 
-    def _annihilating(self, a: int, b: int) -> bool:
-        jid = self.J.ideal_id
-        if a == jid or b == jid:
-            return False
-        return self.J.contains(self.ring.mul(self._rep_by_id[a], self._rep_by_id[b]))
-
-    def relation(self, kind: str) -> Callable[[int, int], bool]:
-        """The symmetric relation on ideal ids that decides adjacency."""
-        return self._incomparable if kind == COZERO else self._annihilating
-
-    def adjacent(self, x: int, y: int, i: int, kind: str) -> bool:
-        if x == y:
-            return False
-        return _prefixes_related(
-            self.relation(kind),
-            self.trajectory(x).ideal_ids[:i],
-            self.trajectory(y).ideal_ids[:i],
+        The relation is incomparability for the cozero kind; for the zero
+        kind, both ideals differ from J and their generating powers multiply
+        into J.
+        """
+        if kind == COZERO:
+            return any(not a.comparable(b) for a in ta.ideals[:i] for b in tb.ideals[:i])
+        J, mul = self.J, self.ring.mul
+        return any(
+            J.contains(mul(p, q))
+            for a, p in zip(ta.ideals[:i], ta.powers)
+            if a is not J
+            for b, q in zip(tb.ideals[:i], tb.powers)
+            if b is not J
         )
 
+    def adjacent(self, x: int, y: int, i: int, kind: str) -> bool:
+        return x != y and self.related(kind, self.trajectory(x), self.trajectory(y), i)
+
     def stabilization_bound(self) -> int:
-        return max((len(self.trajectory(x).ideal_ids) for x in self.vertices()), default=1)
-
-
-def _prefixes_related(
-    related: Callable[[int, int], bool], sa: tuple[int, ...], sb: tuple[int, ...]
-) -> bool:
-    """Some id of one signature prefix is related to some id of the other."""
-    return any(related(p, q) for p in sa for q in sb)
+        return max((len(self.trajectory(x).ideals) for x in self.vertices()), default=1)
 
 
 _CONTEXTS: dict[tuple[int, int], LevelContext] = {}
@@ -281,10 +272,14 @@ def level_context(ring: Ring, J: IdealSet) -> LevelContext:
 # Public operations
 # ---------------------------------------------------------------------------
 
-def vertex_set(ring: Ring, J: IdealSet, kind: str = COZERO) -> tuple[int, ...]:
-    """Sorted vertex list; empty when J is maximal or not proper."""
+def _check_kind(kind: str) -> None:
     if kind not in (COZERO, ZERO):
         raise ValueError(f"unknown graph kind {kind!r}")
+
+
+def vertex_set(ring: Ring, J: IdealSet, kind: str = COZERO) -> tuple[int, ...]:
+    """Sorted vertex list; empty when J is maximal or not proper."""
+    _check_kind(kind)
     return level_context(ring, J).vertices()
 
 
@@ -304,46 +299,40 @@ def stabilization_bound(ring: Ring, J: IdealSet) -> int:
 
 def adjacent(ring: Ring, J: IdealSet, x: int, y: int, i: Level, kind: str = COZERO) -> bool:
     """Adjacency of two vertices at a level (or at the stabilized limit)."""
-    verts = vertex_set(ring, J, kind)
-    for v in (x, y):
-        if v not in verts:
-            raise NotAVertex(f"{ring.label(v)} is not a vertex")
+    _check_kind(kind)
     ctx = level_context(ring, J)
-    lvl = ctx.stabilization_bound() if i == EXTENDED else int(i)
-    if lvl < 1:
-        raise ValueError("level must be >= 1 or EXTENDED")
-    return ctx.adjacent(x, y, lvl, kind)
+    vbits = ctx.vertex_bits()
+    for v in (x, y):
+        if v < 0 or not vbits >> v & 1:
+            raise NotAVertex(f"{ring.label(v)} is not a vertex")
+    return ctx.adjacent(x, y, ctx.level(i), kind)
 
 
 def build_level(ring: Ring, J: IdealSet, i: Level, kind: str = COZERO) -> GraphLevel:
     """Materialize the full level graph with a symmetric adjacency matrix."""
     verts = vertex_set(ring, J, kind)
     ctx = level_context(ring, J)
-    requested_extended = i == EXTENDED
-    lvl = ctx.stabilization_bound() if requested_extended else int(i)
-    if lvl < 1:
-        raise ValueError("level must be >= 1 or EXTENDED")
+    lvl = ctx.level(i)
     concrete = ctx._graphs.get((lvl, kind))
     if concrete is None:
-        related = ctx.relation(kind)
-        # twin classes are orbits, named by their first ideal xR + J: class
-        # index per first id, each class's signature and member mask
+        # twin classes are the orbits, each sharing one trajectory object:
+        # class index per object, each class's trajectory and member mask
         classes: dict[int, int] = {}
-        signatures: list[tuple[int, ...]] = []
+        trajs: list[PowerTrajectory] = []
         class_of = []
         for v in verts:
-            ids = ctx.trajectory(v).ideal_ids
-            c = classes.setdefault(ids[0], len(classes))
-            if c == len(signatures):
-                signatures.append(ids[:lvl])
+            t = ctx.trajectory(v)
+            c = classes.setdefault(id(t), len(classes))
+            if c == len(trajs):
+                trajs.append(t)
             class_of.append(c)
         members = [0] * len(classes)
         for k, c in enumerate(class_of):
             members[c] |= 1 << k
         neighbours = [0] * len(classes)
-        for a, sa in enumerate(signatures):
-            for b in range(a, len(signatures)):
-                if _prefixes_related(related, sa, signatures[b]):
+        for a, ta in enumerate(trajs):
+            for b in range(a, len(trajs)):
+                if ctx.related(kind, ta, trajs[b], lvl):
                     neighbours[a] |= members[b]
                     neighbours[b] |= members[a]
         rows = [neighbours[c] & ~(1 << k) for k, c in enumerate(class_of)]
@@ -357,17 +346,7 @@ def build_level(ring: Ring, J: IdealSet, i: Level, kind: str = COZERO) -> GraphL
             rows=tuple(rows),
         )
         concrete = ctx._graphs.setdefault((lvl, kind), concrete)
-    if requested_extended:
-        return GraphLevel(
-            ring=ring,
-            ideal=J,
-            kind=kind,
-            level=lvl,
-            requested_extended=True,
-            vertices=concrete.vertices,
-            rows=concrete.rows,
-        )
-    return concrete
+    return replace(concrete, requested_extended=True) if i == EXTENDED else concrete
 
 
 def minimal_stabilization_index(ring: Ring, J: IdealSet, kind: str = COZERO) -> int:

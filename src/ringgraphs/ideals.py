@@ -54,7 +54,6 @@ class IdealSet:
     ring: Ring
     bits: int
     generators: tuple[int, ...]
-    ideal_id: int
 
     def contains(self, x: int) -> bool:
         return bool(self.bits >> x & 1)
@@ -103,7 +102,7 @@ def _intern(ring: Ring, bits: int, generators: tuple[int, ...]) -> IdealSet:
     with ring._lock:
         found = table.get(bits)
         if found is None:
-            found = IdealSet(ring, bits, generators, ideal_id=len(table))
+            found = IdealSet(ring, bits, generators)
             table[bits] = found
     return found
 

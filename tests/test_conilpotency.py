@@ -3,7 +3,7 @@
 import pytest
 
 from oracles import brute_conilpotency_index, coset_set, power_rho
-from ringgraphs.claims import GRID_RINGS, _stable_power_exponents
+from ringgraphs.claims import GRID_RINGS, _stable_power
 from ringgraphs.conilpotency import conilpotency_record, ring_conilpotency_index
 from ringgraphs.graphs import build_level, power_trajectory, stabilization_bound, vertex_set
 from ringgraphs.ideals import jacobson_radical, span_from_labels, zero_ideal
@@ -68,7 +68,7 @@ def test_search_bound_is_sound(name):
     j_members = set(J.members())
     for x in ring.elements():
         rec = conilpotency_record(ring, J, x)
-        assert rec.search_bound == len(power_trajectory(ring, J, x).ideal_ids)
+        assert rec.search_bound == len(power_trajectory(ring, J, x).ideals)
         one_minus = ring.sub(ring.one, x)
         complement = coset_set(ring, j_members, one_minus)
         found = None
@@ -159,4 +159,4 @@ def test_bounded_stable_power_search_matches_rho_formula(name):
     ring = build_ring(name)
     for x in ring.elements():
         t, p = power_rho(ring, x)
-        assert _stable_power_exponents(ring, x) == ((t + 1,) if p == 1 else ()), x
+        assert _stable_power(ring, x) == ((t + 1, ring.pow(x, t + 1)) if p == 1 else None), x

@@ -32,6 +32,7 @@ from ringgraphs.graphs import (
 from ringgraphs.claims import GRID_RINGS, grid_ideals
 from ringgraphs.ideals import (
     UnsupportedRingFamily,
+    ideal_sum,
     is_maximal,
     maximal_ideals,
     principal_plus,
@@ -109,15 +110,15 @@ def test_build_level_single_vertex():
 def test_power_trajectory_examples():
     z12, J = zero_of("Z12")
     t10 = power_trajectory(z12, J, 10)
-    assert (t10.preperiod, len(t10.ideal_ids)) == (1, 2)
-    ideals = [set(span(z12, [10]).members()), {0, 4, 8}]
-    assert t10.id_at(1) != t10.id_at(2)
-    assert t10.id_at(2) == t10.id_at(3) == t10.id_at(9)
+    assert len(t10.ideals) == 2
+    assert t10.ideal_at(1) is span(z12, [10])
+    assert set(t10.ideal_at(2).members()) == {0, 4, 8}
+    assert t10.ideal_at(2) is t10.ideal_at(3) is t10.ideal_at(9)
     t6 = power_trajectory(z12, J, 6)
-    assert (t6.preperiod, len(t6.ideal_ids)) == (1, 2)
+    assert len(t6.ideals) == 2
     z8, J8 = zero_of("Z8")
     t2 = power_trajectory(z8, J8, 2)
-    assert (t2.preperiod, len(t2.ideal_ids)) == (2, 3)
+    assert len(t2.ideals) == 3
 
 
 def test_stabilization_bound_examples():
@@ -342,9 +343,10 @@ def test_power_trajectory_is_descending_chain():
     # x^{m+1}R + J lies in x^mR + J and the chain is constant from its first
     # repeat, so the trajectory stops there; the value cycle's horizon
     # t + p + 1 from power_rho checks the tail independently. Every element
-    # is checked, units and members of J included; a fresh context filled in
-    # reverse carrier order marks the same chains; and the chain of ux + j is
-    # the chain of x, by principal_plus and by the coset oracle
+    # is checked, units and members of J included; each power the chain keeps
+    # generates its ideal over J; a fresh context filled in reverse carrier
+    # order marks the same chains; and ux + j shares the very trajectory of
+    # x, whose chain it has by principal_plus and by the coset oracle
     for ring, J in trajectory_cases():
         j_members = sorted(J.members())
         j_set = set(j_members)
@@ -362,23 +364,62 @@ def test_power_trajectory_is_descending_chain():
             fresh.trajectory(x)
         for x in ring.elements():
             traj = power_trajectory(ring, J, x)
-            ids = traj.ideal_ids
-            assert traj.element == x
+            chain = traj.ideals
             assert fresh.trajectory(x) == traj
-            assert len(set(ids)) == len(ids)
-            assert traj.preperiod == len(ids) - 1
+            assert len(set(chain)) == len(chain) == len(traj.powers)
+            for m, power in enumerate(traj.powers, 1):
+                assert ideal_sum(J, (power,)) is chain[m - 1]
             t, p = power_rho(ring, x)
             for m in range(1, t + p + 2):
                 ideal = principal_plus(x, m, J)
-                assert ideal.ideal_id == traj.id_at(m)
-                if m <= len(ids) + 1:
+                assert ideal is traj.ideal_at(m)
+                if m <= len(chain) + 1:
                     assert set(ideal.members()) == cosets(ring.pow(x, m))
             for u, j in zip(rng.sample(units, min(2, len(units))), rng.choices(j_members, k=2)):
                 y = digit_add(ring, ring.mul(u, x), j)
-                assert power_trajectory(ring, J, y).ideal_ids == ids
-                for m in range(1, len(ids) + 2):
-                    assert principal_plus(y, m, J).ideal_id == traj.id_at(m)
+                if fresh.vertex_bits() >> x & 1:
+                    assert power_trajectory(ring, J, y) is traj
+                else:
+                    assert power_trajectory(ring, J, y) == traj
+                for m in range(1, len(chain) + 2):
+                    assert principal_plus(y, m, J) is traj.ideal_at(m)
                     assert cosets(ring.pow(y, m)) == cosets(ring.pow(x, m))
+
+
+def test_zero_adjacency_reads_the_builders_powers():
+    # the zero relation multiplies the powers of whichever member built each
+    # orbit's chain; a context filled in reverse carrier order picks other
+    # builders than the shared one, and must still match the literal definition
+    for name, label in TRAJECTORY_QUOTIENT_CASES:
+        ring = build_ring(name)
+        J = span_from_labels(ring, label)
+        if J.bits == 1:
+            continue
+        j_members = set(J.members())
+        fresh = LevelContext(ring, J)
+        for x in reversed(ring.elements()):
+            fresh.trajectory(x)
+        verts = fresh.vertices()
+        if not verts:  # J is maximal
+            continue
+        # some vertex reads another member's powers
+        assert any(fresh.trajectory(v).powers[0] != v for v in verts)
+        pairs = list(itertools.combinations(verts, 2))
+        rng = random.Random(f"{name} {label}")
+        for x, y in rng.sample(pairs, min(400, len(pairs))):
+            for i in (1, 2, 3, 4):
+                assert fresh.adjacent(x, y, i, ZERO) == naive_adjacent(
+                    ring, j_members, x, y, i, ZERO
+                ), (name, label, x, y, i)
+
+
+def test_levels_must_be_positive_ints_or_extended():
+    z12, J = zero_of("Z12")
+    for bad in (2.5, True, "2", 0, -1, None):
+        with pytest.raises(ValueError):
+            build_level(z12, J, bad)
+        with pytest.raises(ValueError):
+            adjacent(z12, J, 2, 3, bad)
 
 
 def test_trajectory_spans_once_per_orbit(monkeypatch):
@@ -391,7 +432,7 @@ def test_trajectory_spans_once_per_orbit(monkeypatch):
         frozenset(ring.add(ring.mul(u, v), j) for u in units for j in J.members())
         for v in vertex_set(ring, J)
     }
-    budget = sum(len(power_trajectory(ring, J, min(o)).ideal_ids) + 1 for o in orbits)
+    budget = sum(len(power_trajectory(ring, J, min(o)).ideals) + 1 for o in orbits)
     calls = []
     real = graphs.ideal_sum
 

@@ -62,16 +62,16 @@ def test_span_idempotent_and_interned():
     a = span(z12, [4])
     b = span(z12, list(a.members()))
     assert a is b
-    assert span(z12, [2]).ideal_id == span(z12, [10]).ideal_id
-    assert span(z12, [4]).ideal_id == span(z12, [4, 8]).ideal_id
-    assert span(z12, [2]).ideal_id != span(z12, [4]).ideal_id
+    assert span(z12, [2]) is span(z12, [10])
+    assert span(z12, [4]) is span(z12, [4, 8])
+    assert span(z12, [2]) is not span(z12, [4])
 
 
 def test_interning_is_thread_safe():
     ring = build_ring("Z36")
     with ThreadPoolExecutor(max_workers=8) as pool:
-        ids = list(pool.map(lambda g: span(ring, [g]).ideal_id, [6] * 64))
-    assert len(set(ids)) == 1
+        ideals = list(pool.map(lambda g: span(ring, [g]), [6] * 64))
+    assert all(ideal is ideals[0] for ideal in ideals)
 
 
 def test_principal_plus_examples():
