@@ -128,14 +128,11 @@ class _Resolved:
     def graph(self, i, kind: str = COZERO) -> GraphLevel:
         return build_level(self.ring, self.J, self.level(i), kind)
 
-    def label(self, x: int) -> str:
-        return self.ring.label(x)
-
 
 def _standing_ok(r: _Resolved) -> bool:
     """The blanket assumption: the ideal is proper and not maximal.
 
-    That holds exactly when the vertex set is nonempty: an element of a
+    ``run_claim`` checks it before any runner. It holds exactly when the vertex set is nonempty: an element of a
     maximal ideal strictly above J but outside J is a vertex, and a maximal
     or improper J has none.
     """
@@ -170,7 +167,7 @@ def _pair_witness(kind: str, g: GraphLevel, x: int, y: int, **extra) -> dict:
 
 
 def _element_witness(r: _Resolved, x: int, n: int, condition: str) -> dict:
-    return {"kind": "element", "x": r.label(x), "n": n, "condition": condition}
+    return {"kind": "element", "x": r.ring.label(x), "n": n, "condition": condition}
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +180,6 @@ def _run_empty(r: _Resolved):
         return VACUOUS, None, "ring is not Z_{p^n}"
     if r.J.bits != 1:
         return VACUOUS, None, "ideal is not 0"
-    if not _standing_ok(r):
-        return VACUOUS, None, "ideal is maximal or improper"
     g = r.graph(r.instance.param("i", 1))
     if is_empty_graph(g):
         return VERIFIED, None, f"|V|={len(g.vertices)}, no edges"
@@ -206,8 +201,6 @@ def _run_grow(r: _Resolved):
         or r.J.bits != 1
     ):
         return VACUOUS, None, "instance does not match Z_{p^n q} with n > 1 and ideal 0"
-    if not _standing_ok(r):
-        return VACUOUS, None, "ideal is maximal or improper"
     g_lo = r.graph(n - 1)
     g_hi = r.graph(n)
     if analysis.graph_equals(g_lo, g_hi):
@@ -227,16 +220,12 @@ def _run_grow(r: _Resolved):
 
 
 def _run_prime(r: _Resolved):
-    if not _standing_ok(r):
-        return VACUOUS, None, "ideal is maximal or improper"
     # R/P is a finite domain, hence a field, so a prime ideal is maximal and
     # the standing check has already excluded it
     return VACUOUS, None, "ideal is not prime"
 
 
 def _run_filtration(r: _Resolved):
-    if not _standing_ok(r):
-        return VACUOUS, None, "ideal is maximal or improper"
     bound = r.ctx.stabilization_bound()
     levels = sorted({1, 2, 3, bound, bound + 1})
     graphs = [r.graph(i) for i in levels]
@@ -254,14 +243,12 @@ def _run_tripartite(r: _Resolved):
     desc = r.ring.descriptor
     if n is None or not isinstance(desc, ModularRing) or r.J.bits != 1:
         return VACUOUS, None, "instance does not match Z_{p^n q} with ideal 0"
-    if not _standing_ok(r):
-        return VACUOUS, None, "ideal is maximal or improper"
     try:
         parts = zpnq_parts(r.ring)
     except analysis.NotZpnqForm:
         return VACUOUS, None, "modulus is not of the p^n q shape"
     g = r.graph(n)
-    part_labels = [[r.label(v) for v in part] for part in parts.parts]
+    part_labels = [[r.ring.label(v) for v in part] for part in parts.parts]
     if parts.arity != 3:
         return REFUTED, {
             "kind": "arity",
@@ -283,8 +270,6 @@ def _run_tripartite(r: _Resolved):
 
 
 def _run_xi_parity(r: _Resolved):
-    if not _standing_ok(r):
-        return VACUOUS, None, "ideal is maximal or improper"
     if not analysis.graph_equals(r.graph(1), r.graph(2)):
         return VACUOUS, None, "levels 1 and 2 differ"
     xi = ring_conilpotency_index(r.ring, r.J)
@@ -298,7 +283,7 @@ def _run_xi_parity(r: _Resolved):
         for x in range(r.ring.size)
         if conilpotency_record(r.ring, r.J, x).index == xi
     )
-    witness = {"kind": "element", "x": r.label(x), "n": xi}
+    witness = {"kind": "element", "x": r.ring.label(x), "n": xi}
     return REFUTED, witness, f"ring index {xi} is even"
 
 
@@ -319,22 +304,27 @@ def _stable_power(ring: Ring, x: int) -> Optional[tuple[int, int]]:
     return None
 
 
-def _run_conilpotent_elements(r: _Resolved):
-    if not _standing_ok(r):
-        return VACUOUS, None, "ideal is maximal or improper"
-    ring, J = r.ring, r.J
+def _stable_cases(ring: Ring) -> list[tuple[int, int, int]]:
+    """(x, n, x^n) for each non-unit x outside the radical with a stable power x^n."""
     jac = jacobson_radical(ring)
-    if not J.issubset(jac):
-        return VACUOUS, None, "ideal is not inside the radical"
-    checked = 0
+    cases = []
     for x in range(ring.size):
         if ring.is_unit(x) or jac.contains(x):
             continue
         stable = _stable_power(ring, x)
-        if stable is None:
-            continue
-        n, _ = stable
-        checked += 1
+        if stable is not None:
+            cases.append((x, *stable))
+    return cases
+
+
+def _run_conilpotent_elements(r: _Resolved):
+    ring = r.ring
+    if not r.J.issubset(jacobson_radical(ring)):
+        return VACUOUS, None, "ideal is not inside the radical"
+    cases = _stable_cases(ring)
+    if not cases:
+        return VACUOUS, None, "no non-unit outside the radical has a stable power"
+    for x, n, _ in cases:
         one_minus = ring.sub(ring.one, x)
         complement = r.ctx.trajectory(one_minus).ideals[0]
         power_ideal = r.ctx.trajectory(x).ideal_at(n)
@@ -344,14 +334,10 @@ def _run_conilpotent_elements(r: _Resolved):
         if power_ideal.issubset(complement):
             witness = _element_witness(r, x, n, "x^n inside R(1-x) + J")
             return REFUTED, witness, "second non-membership fails"
-    if checked == 0:
-        return VACUOUS, None, "no non-unit outside the radical has a stable power"
-    return VERIFIED, None, f"{checked} stable-power cases verified"
+    return VERIFIED, None, f"{len(cases)} stable-power cases verified"
 
 
 def _run_vertex_membership(r: _Resolved):
-    if not _standing_ok(r):
-        return VACUOUS, None, "ideal is maximal or improper"
     ring, J = r.ring, r.J
     vbits = r.ctx.vertex_bits()
     one = ring.one
@@ -388,28 +374,20 @@ def _run_vertex_membership(r: _Resolved):
 
 
 def _run_stable_adjacency(r: _Resolved):
-    if not _standing_ok(r):
-        return VACUOUS, None, "ideal is maximal or improper"
-    ring, J = r.ring, r.J
-    jac = jacobson_radical(ring)
-    if not J.issubset(jac):
+    ring = r.ring
+    if not r.J.issubset(jacobson_radical(ring)):
         return VACUOUS, None, "ideal is not inside the radical"
+    cases = _stable_cases(ring)
+    if not cases:
+        return VACUOUS, None, "no non-unit outside the radical has a stable power"
     vbits = r.ctx.vertex_bits()
-    checked = 0
-    for x in range(ring.size):
-        if ring.is_unit(x) or jac.contains(x):
-            continue
-        stable = _stable_power(ring, x)
-        if stable is None:
-            continue
-        checked += 1
-        n, u = stable
+    for x, n, u in cases:
         v = ring.sub(ring.one, x)
         witness = {
             "kind": "element",
-            "x": r.label(x),
+            "x": ring.label(x),
             "n": n,
-            "pair": [r.label(u), r.label(v)],
+            "pair": [ring.label(u), ring.label(v)],
         }
         if u == v:
             witness["condition"] = "x^n equals 1-x"
@@ -420,38 +398,29 @@ def _run_stable_adjacency(r: _Resolved):
         if not r.ctx.adjacent(u, v, 1, COZERO):
             witness["condition"] = "pair not adjacent at level 1"
             return REFUTED, witness, "adjacency fails at level 1"
-    if checked == 0:
-        return VACUOUS, None, "no non-unit outside the radical has a stable power"
-    return VERIFIED, None, f"{checked} adjacency cases verified"
+    return VERIFIED, None, f"{len(cases)} adjacency cases verified"
 
 
 def _run_power_descent(r: _Resolved):
-    if not _standing_ok(r):
-        return VACUOUS, None, "ideal is maximal or improper"
     # x^n y lies in yR, so x^n y is never adjacent to y at level 1
     return VACUOUS, None, "no adjacent power-multiple pair at level 1"
 
 
 def _run_idempotent_descent(r: _Resolved):
-    if not _standing_ok(r):
-        return VACUOUS, None, "ideal is maximal or improper"
     # (xy)^m = x^m y lies in y^nR for an idempotent y, so xy is never adjacent to y
     return VACUOUS, None, "no idempotent vertex with an adjacent multiple"
 
 
 def _run_bipartite(r: _Resolved):
-    if not _standing_ok(r):
-        return VACUOUS, None, "ideal is maximal or improper"
     try:
         maxima = maximal_ideals(r.ring)
     except UnsupportedRingFamily:
         return UNSUPPORTED, None, "maximal ideals are not enumerated for this ring"
     if len(maxima) != 2:
         return VACUOUS, None, f"ring has {len(maxima)} maximal ideals, not 2"
-    report = check_bipartite_iff(
+    return check_bipartite_iff(
         r.ring, r.J, maxima[0], maxima[1], r.level(r.instance.param("i", 1))
     )
-    return report
 
 
 def check_bipartite_iff(
@@ -505,8 +474,6 @@ def _edge_inside(g: GraphLevel, part: tuple[int, ...]) -> bool:
 
 
 def _run_zero_divisor_completeness(r: _Resolved):
-    if not _standing_ok(r):
-        return VACUOUS, None, "ideal is maximal or improper"
     i = r.instance.param("i", 1)
     g_co = r.graph(i, COZERO)
     if not is_complete(g_co):
@@ -520,30 +487,20 @@ def _run_zero_divisor_completeness(r: _Resolved):
 
 
 def _run_semiprime_incompleteness(r: _Resolved):
-    if not _standing_ok(r):
-        return VACUOUS, None, "ideal is maximal or improper"
     if not is_semiprime(r.J):
         return VACUOUS, None, "ideal is not semiprime"
-    i = r.instance.param("i", 1)
-    g_z = r.graph(i, ZERO)
-    if is_complete(g_z) and len(g_z.vertices) > 0:
-        witness = {
-            "kind": "complete_graph",
-            "graph": ZERO,
-            "level": g_z.level,
-            "vertices": [r.label(v) for v in g_z.vertices],
-        }
-        return REFUTED, witness, "zero-divisor graph is complete"
-    g_co = r.graph(i, COZERO)
-    if is_complete(g_co) and len(g_co.vertices) > 0:
-        witness = {
-            "kind": "complete_graph",
-            "graph": COZERO,
-            "level": g_co.level,
-            "vertices": [r.label(v) for v in g_co.vertices],
-        }
-        return REFUTED, witness, "cozero graph is complete"
-    return VERIFIED, None, f"neither graph is complete at level {g_z.level}"
+    # the standing assumption leaves both graphs a nonempty vertex set
+    for kind, name in ((ZERO, "zero-divisor"), (COZERO, "cozero")):
+        g = r.graph(r.instance.param("i", 1), kind)
+        if is_complete(g):
+            witness = {
+                "kind": "complete_graph",
+                "graph": kind,
+                "level": g.level,
+                "vertices": [r.ring.label(v) for v in g.vertices],
+            }
+            return REFUTED, witness, f"{name} graph is complete"
+    return VERIFIED, None, f"neither graph is complete at level {g.level}"
 
 
 @dataclass(frozen=True)
@@ -642,7 +599,10 @@ def run_claim(instance: ClaimInstance) -> ClaimReport:
         raise ValueError(f"unknown claim id {instance.claim!r}")
     try:
         resolved = _Resolved(instance)
-        status, witness, detail = claim.runner(resolved)
+        if _standing_ok(resolved):
+            status, witness, detail = claim.runner(resolved)
+        else:
+            status, witness, detail = VACUOUS, None, "ideal is maximal or improper"
     except UnsupportedRingFamily as exc:
         status, witness, detail = UNSUPPORTED, None, str(exc)
     elapsed = time.perf_counter() - start

@@ -1,10 +1,10 @@
 """Ideals of finite commutative rings: spans, membership, predicates.
 
-An ``IdealSet`` is an interned, immutable view of an ideal: membership is a
-bitset over carrier indices, and two spans with the same closure always
-return the very same object (and id). Graph construction leans on id
-equality for caching, so interning is the single mutating path and is
-guarded by the ring's lock.
+An ``IdealSet`` is an interned, immutable view of an ideal: its members are
+a bitset over carrier indices, and two spans with the same closure always
+return the very same object, so interned ideals compare by identity.
+Interning is the single mutating path and is guarded by the ring's lock.
+An ideal's name, its greedy generators, is derived from the bits alone.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ def _indices(bits: int) -> Iterator[int]:
 class IdealSet:
     ring: Ring
     bits: int
-    generators: tuple[int, ...]
 
     def contains(self, x: int) -> bool:
         return bool(self.bits >> x & 1)
@@ -76,7 +75,8 @@ class IdealSet:
         return union == other.bits or union == self.bits
 
     def generator_labels(self) -> list[str]:
-        return [self.ring.label(g) for g in self.generators]
+        """The ideal's name: the labels of its greedy generators."""
+        return [self.ring.label(g) for g in _greedy_generators(self.ring, self.bits)]
 
     def __eq__(self, other):
         return (
@@ -94,7 +94,7 @@ class IdealSet:
         return f"IdealSet({ring}, <{gens}>, size={self.size})"
 
 
-def _intern(ring: Ring, bits: int, generators: tuple[int, ...]) -> IdealSet:
+def _intern(ring: Ring, bits: int) -> IdealSet:
     table = ring.ideal_intern
     found = table.get(bits)
     if found is not None:
@@ -102,7 +102,7 @@ def _intern(ring: Ring, bits: int, generators: tuple[int, ...]) -> IdealSet:
     with ring._lock:
         found = table.get(bits)
         if found is None:
-            found = IdealSet(ring, bits, generators)
+            found = IdealSet(ring, bits)
             table[bits] = found
     return found
 
@@ -159,30 +159,23 @@ def span(ring: Ring, generators: Iterable[int]) -> IdealSet:
     factors' spans, and a quotient ring the additive closure of the
     generators' monomial multiples.
     """
-    gens = tuple(sorted({g for g in generators if g != ring.zero}))
-    bits = _span_bits(ring, gens, 1)
-    return _intern(ring, bits, gens)
+    return _intern(ring, _span_bits(ring, tuple(generators), 1))
 
 
 def zero_ideal(ring: Ring) -> IdealSet:
-    return _intern(ring, 1, ())
+    return _intern(ring, 1)
 
 
 def unit_ideal(ring: Ring) -> IdealSet:
-    return _intern(ring, ring.full_bits, (ring.one,))
+    return _intern(ring, ring.full_bits)
 
 
 def ideal_sum(J: IdealSet, values: Iterable[int]) -> IdealSet:
     """The ideal J + <values>, interned."""
-    ring = J.ring
-    vals = tuple(sorted({v for v in values if v != ring.zero}))
+    vals = tuple(v for v in values if not J.contains(v))
     if not vals:
         return J
-    if all(J.contains(v) for v in vals):
-        return J
-    bits = _span_bits(ring, vals, J.bits)
-    gens = tuple(sorted(set(J.generators) | set(vals)))
-    return _intern(ring, bits, gens)
+    return _intern(J.ring, _span_bits(J.ring, vals, J.bits))
 
 
 def principal_plus(x: int, n: int, J: IdealSet) -> IdealSet:
@@ -269,23 +262,26 @@ def jacobson_radical(ring: Ring) -> IdealSet:
     for x in range(ring.size):
         if ring.pow(x, k) == ring.zero:
             bits |= 1 << x
-    gens = _greedy_generators(ring, bits)
-    result = _intern(ring, bits, gens)
+    result = _intern(ring, bits)
     ring._jacobson = result
     return result
 
 
-def _greedy_generators(ring: Ring, bits: int) -> tuple[int, ...]:
-    """A small generating set for the ideal with the given member bitset."""
+def _greedy_generators(ring: Ring, bits: int) -> list[int]:
+    """The ideal's canonical generators, read off its bits.
+
+    These are the members, in carrier order, each outside the span of the
+    ones picked before it; the zero ideal has none.
+    """
     gens: list[int] = []
     have = 1
     for x in _indices(bits):
+        if have == bits:
+            break
         if not have >> x & 1:
             gens.append(x)
-            have = _span_bits(ring, tuple(gens), 1)
-            if have == bits:
-                break
-    return tuple(gens)
+            have = _span_bits(ring, (x,), have)
+    return gens
 
 
 def maximal_ideals(ring: Ring) -> list[IdealSet]:
@@ -312,8 +308,7 @@ def maximal_ideals(ring: Ring) -> list[IdealSet]:
                 for a in range(ring.size):
                     if m.contains(ring.decode(a)[i]):
                         bits |= 1 << a
-                gens = _greedy_generators(ring, bits)
-                out.append(_intern(ring, bits, gens))
+                out.append(_intern(ring, bits))
         return out
     raise UnsupportedRingFamily(
         "maximal ideals are enumerated only for modular rings and their products"

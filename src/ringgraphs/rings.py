@@ -363,7 +363,7 @@ class Ring:
         self.full_bits = (1 << size) - 1
         self._unit_bits: Optional[int] = None
         self._lock = threading.Lock()
-        # ideal interning lives on the ring so ids are process-wide stable
+        # interned ideals by bits: one object per ideal, so they compare by identity
         self.ideal_intern: dict[int, object] = {}
 
     # family-specific primitives -------------------------------------------------

@@ -3,9 +3,14 @@
 import copy
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ringgraphs
 from ringgraphs.claims import (
     CATALOG,
     GRID_RINGS,
@@ -125,6 +130,17 @@ def test_conilpotency_claims():
     assert run_claim(inst("C-CONIL", "Z8")).status == VACUOUS  # local ring
 
 
+def test_standing_assumption_is_checked_before_the_claims_shape():
+    # each instance fails its claim's shape test and has a maximal ideal
+    for report in (
+        run_claim(inst("C-EMPTY", "Z6", "2", i=1)),
+        run_claim(inst("C-GROW", "Z12", "2", p=2, q=3, n=2)),
+    ):
+        assert (report.status, report.witness, report.detail) == (
+            VACUOUS, None, "ideal is maximal or improper"
+        )
+
+
 def test_bipartite_claim():
     assert run_claim(inst("C-BIP", "Z6", i=1)).status == VERIFIED
     assert run_claim(inst("C-BIP", "Z12", i=1)).status == VERIFIED
@@ -230,6 +246,44 @@ def test_grid_ideals_are_deterministic_and_well_formed():
     assert grid_ideals("Z6") == ["0"]
     assert grid_ideals("Z2xZ2") == ["0"]
     assert grid_ideals("Z4[x]/(x^2)") == ["0", "2,x", "2"]
+
+
+# grid ideals and the report's sha256, optionally after spanning every
+# principal ideal of the grid rings by its last generator in carrier order
+_SPAN_HISTORY_PROBE = """
+import hashlib, json, sys
+from ringgraphs.claims import GRID_RINGS, default_grid, grid_ideals, run_suite, suite_to_json
+from ringgraphs.ideals import span
+from ringgraphs.rings import build_ring
+
+if sys.argv[1] == "spanned":
+    for name in GRID_RINGS:
+        ring = build_ring(name)
+        for x in reversed(range(ring.size)):
+            span(ring, [x])
+ideals = {name: grid_ideals(name) for name in GRID_RINGS}
+report = suite_to_json(run_suite(default_grid())).encode()
+print(json.dumps({"ideals": ideals, "sha256": hashlib.sha256(report).hexdigest()}))
+"""
+
+
+def _probe_span_history(mode):
+    path = [str(Path(ringgraphs.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run(
+        [sys.executable, "-c", _SPAN_HISTORY_PROBE, mode],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(done.stdout)
+
+
+def test_grid_names_do_not_depend_on_what_was_spanned_before():
+    fresh = _probe_span_history("fresh")
+    spanned = _probe_span_history("spanned")
+    assert fresh["ideals"]["Z8"] == ["0", "2", "4"]
+    assert spanned == fresh
+    pins = json.loads((Path(__file__).parents[1] / "perfbench" / "pins.json").read_text())
+    assert spanned["sha256"] == pins["verify-grid"]["report_sha256"]
 
 
 def test_default_grid_shape():

@@ -46,6 +46,18 @@ def test_build_json_z9(capsys):
     assert data["edges"] == []
 
 
+def test_ideal_field_is_the_canonical_name(capsys):
+    # 8 spans the ideal {0, 4, 8} of Z12, whose greedy generator is 4
+    builds = [
+        run_cli(capsys, "build", "--ring", "Z12", "--ideal", ideal, "--format", "json")
+        for ideal in ("8", "4")
+    ]
+    assert builds[0] == builds[1]
+    assert json.loads(builds[0][1])["ideal"] == ["4"]
+    _, out, _ = run_cli(capsys, "stabilize", "--ring", "Z12", "--ideal", "8", "--format", "json")
+    assert json.loads(out)["ideal"] == ["4"]
+
+
 def test_json_round_trip(tmp_path, capsys):
     for name, ideal, level, kind in [
         ("Z24", "0", "2", "cozero"),

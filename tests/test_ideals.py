@@ -213,6 +213,29 @@ def test_span_from_labels():
     assert members(span_from_labels(p, "(0,1)")) == {0, 1}
 
 
+@pytest.mark.parametrize("name", ORACLE_RINGS)
+def test_generator_labels_are_the_greedy_generators(name):
+    # spelled by the last generators in carrier order, so a name kept from
+    # the first span would differ from the one derived from the bits
+    ring = build_ring(name)
+    principal = [[g] for g in reversed(range(ring.size))]
+    step = max(1, ring.size // 5)
+    pairs = itertools.combinations(range(ring.size - 1, 0, -step), 2)
+    seen = set()
+    for gens in [*principal, *map(list, pairs)]:
+        ideal = span(ring, gens)
+        if ideal.bits in seen:
+            continue
+        seen.add(ideal.bits)
+        labels = ideal.generator_labels()
+        assert span_from_labels(ring, ",".join(labels) or "0") is ideal
+        picked = []
+        for label in labels:
+            before = closure_span(ring, picked)
+            assert ring.parse_label(label) == min(set(ideal.members()) - before)
+            picked.append(ring.parse_label(label))
+
+
 def test_product_ideal_sum_interns_nothing_in_factors():
     ring = build_ring("Z49xZ11")
     before = [len(f.ideal_intern) for f in ring.factor_rings]
