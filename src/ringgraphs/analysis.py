@@ -162,7 +162,8 @@ def zpnq_parts(ring: Ring) -> PartitionWitness:
     """Valuation parts of the vertex set of a Z_{p^n q} ring with J = 0.
 
     Writing a vertex as k * p^a * q^b with k coprime to pq, the parts are
-    a = 0, then b = 0, then both positive (dropped when empty).
+    a = 0, then b = 0, then both positive (dropped when empty); a = 0 is
+    p not dividing the vertex, and likewise for b and q.
     """
     desc = ring.descriptor
     if not isinstance(desc, ModularRing):
@@ -171,28 +172,13 @@ def zpnq_parts(ring: Ring) -> PartitionWitness:
     factors = prime_factorization(n)
     if len(factors) != 2 or sorted(factors.values())[0] != 1:
         raise NotZpnqForm(f"{n} is not of the form p^n * q")
-    primes = sorted(factors)
-    if factors[primes[0]] > 1:
-        p, q = primes[0], primes[1]
-    elif factors[primes[1]] > 1:
-        p, q = primes[1], primes[0]
-    else:
-        p, q = primes[0], primes[1]
-    verts = level_context(ring, zero_ideal(ring)).vertices()
+    # p carries the exponent above 1; for squarefree pq, p is the smaller prime
+    p, q = sorted(factors, key=lambda r: (-factors[r], r))
     v1, v2, v3 = [], [], []
-    for x in verts:
-        a = 0
-        m = x
-        while m % p == 0:
-            a += 1
-            m //= p
-        b = 0
-        while m % q == 0:
-            b += 1
-            m //= q
-        if a == 0:
+    for x in level_context(ring, zero_ideal(ring)).vertices():
+        if x % p:
             v1.append(x)
-        elif b == 0:
+        elif x % q:
             v2.append(x)
         else:
             v3.append(x)

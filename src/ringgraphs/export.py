@@ -11,21 +11,9 @@ import json
 from json.encoder import encode_basestring_ascii
 from typing import Union
 
-from .graphs import COZERO, EXTENDED, ZERO, GraphLevel, later_items, level_context
+from .graphs import COZERO, EXTENDED, ZERO, GraphLevel, later_neighbours, level_context
 from .ideals import span
 from .rings import ParseError, Ring, build_ring, descriptor_string
-
-
-def graph_to_json_dict(g: GraphLevel) -> dict:
-    ring = g.ring
-    return {
-        "ring": descriptor_string(ring.descriptor),
-        "ideal": g.ideal.generator_labels(),
-        "kind": g.kind,
-        "i": EXTENDED if g.requested_extended else g.level,
-        "vertices": [ring.label(v) for v in g.vertices],
-        "edges": [[ring.label(x), ring.label(y)] for x, y in g.edges()],
-    }
 
 
 def _json_array(items: list[str]) -> str:
@@ -37,12 +25,12 @@ def _json_array(items: list[str]) -> str:
 
 
 def graph_to_json(g: GraphLevel) -> str:
-    """``json.dumps(graph_to_json_dict(g), indent=2, sort_keys=True) + "\n"``.
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\n"`` of the README's schema.
 
     The same bytes, written straight from the adjacency rows: each vertex is
     labelled and quoted once, every edge block is a vertex's head string
     followed by a neighbour's tail string, and the document is joined once.
-    CPython's C encoder does not handle ``indent``, so going through the dict
+    CPython's C encoder does not handle ``indent``, so going through a dict
     would run its pure-Python encoder over every edge.
     """
     quoted = [encode_basestring_ascii(g.ring.label(v)) for v in g.vertices]
@@ -50,9 +38,9 @@ def graph_to_json(g: GraphLevel) -> str:
     tails = [f"{q}\n    ]" for q in quoted]
     out = ['{\n  "edges": [']
     sep = "\n"
-    for k, row in enumerate(g.rows):
-        if row >> (k + 1):
-            out += (sep, heads[k], (",\n" + heads[k]).join(later_items(row, k, tails)))
+    for head, later in zip(heads, later_neighbours(g.rows, tails)):
+        if later:
+            out += (sep, head, (",\n" + head).join(later))
             sep = ",\n"
     out.append("]" if sep == "\n" else "\n  ]")
     level = encode_basestring_ascii(EXTENDED) if g.requested_extended else str(g.level)
@@ -71,34 +59,37 @@ def graph_to_json(g: GraphLevel) -> str:
 def graph_to_dot(g: GraphLevel) -> str:
     level_tag = "ext" if g.requested_extended else str(g.level)
     names = [f'"{g.ring.label(v)}"' for v in g.vertices]
-    lines = [f"graph g_{g.kind}_{level_tag} {{"]
-    lines.extend(f"  {name};" for name in names)
-    ends = [f"{name};" for name in names]
-    for k, row in enumerate(g.rows):
-        head = f"  {names[k]} -- "
-        lines.extend(head + end for end in later_items(row, k, ends))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    out = [f"graph g_{g.kind}_{level_tag} {{\n"]
+    out += [f"  {name};\n" for name in names]
+    ends = [f"{name};\n" for name in names]
+    for name, later in zip(names, later_neighbours(g.rows, ends)):
+        if later:
+            head = f"  {name} -- "
+            out += (head, head.join(later))
+    out.append("}\n")
+    return "".join(out)
 
 
 def graph_to_table(g: GraphLevel) -> str:
     level_tag = "ext" if g.requested_extended else str(g.level)
     labels = [g.ring.label(v) for v in g.vertices]
-    lines = [
-        f"ring:     {descriptor_string(g.ring.descriptor)}",
-        f"ideal:    {','.join(g.ideal.generator_labels()) or '0'}",
-        f"kind:     {g.kind}",
-        f"level:    {level_tag} (resolved {g.level})",
-        f"vertices: {len(g.vertices)}",
-        f"edges:    {g.edge_count}",
-        "",
+    out = [
+        f"ring:     {descriptor_string(g.ring.descriptor)}\n",
+        f"ideal:    {','.join(g.ideal.generator_labels()) or '0'}\n",
+        f"kind:     {g.kind}\n",
+        f"level:    {level_tag} (resolved {g.level})\n",
+        f"vertices: {len(g.vertices)}\n",
+        f"edges:    {g.edge_count}\n",
+        "\n",
     ]
-    lines.extend(f"  {label}" for label in labels)
-    lines.append("")
-    for k, row in enumerate(g.rows):
-        head = f"  {labels[k]} -- "
-        lines.extend(head + label for label in later_items(row, k, labels))
-    return "\n".join(lines) + "\n"
+    out += [f"  {label}\n" for label in labels]
+    out.append("\n")
+    ends = [f"{label}\n" for label in labels]
+    for label, later in zip(labels, later_neighbours(g.rows, ends)):
+        if later:
+            head = f"  {label} -- "
+            out += (head, head.join(later))
+    return "".join(out)
 
 
 def _parse_labels(ring: Ring, items, what: str) -> list[int]:
@@ -138,14 +129,29 @@ def load_graph_json(text: Union[str, dict]) -> GraphLevel:
         raise ParseError("graph JSON lists a vertex more than once")
     if not isinstance(data["edges"], list):
         raise ParseError("graph JSON edges must be a list")
-    rows = [0] * len(vertices)
+    # endpoints spelled as in the vertex list map straight to positions;
+    # any other spelling is parsed
+    index = {label: k for k, label in enumerate(data["vertices"])}
+    neighbours: list[list[int]] = [[] for _ in vertices]
     for pair in data["edges"]:
-        ends = _parse_labels(ring, pair, "edge")
-        if len(ends) != 2 or ends[0] == ends[1] or not all(v in pos for v in ends):
+        try:
+            a, b = pair if type(pair) is list else ()
+            x, y = index[a], index[b]
+        except (KeyError, TypeError, ValueError):
+            ends = _parse_labels(ring, pair, "edge")
+            if len(ends) != 2 or not all(v in pos for v in ends):
+                raise ParseError(f"edge {pair!r} must join two distinct vertices") from None
+            x, y = pos[ends[0]], pos[ends[1]]
+        if x == y:
             raise ParseError(f"edge {pair!r} must join two distinct vertices")
-        x, y = ends
-        rows[pos[x]] |= 1 << pos[y]
-        rows[pos[y]] |= 1 << pos[x]
+        neighbours[x].append(y)
+        neighbours[y].append(x)
+    rows = []  # each row folded once, with no big-int OR per edge
+    for near in neighbours:
+        digits = bytearray(b"0") * len(vertices)
+        for j in near:
+            digits[j] = 49  # ord("1")
+        rows.append(int(digits[::-1], 2))
     try:
         level = level_context(ring, ideal).level(data["i"])
     except ValueError as exc:

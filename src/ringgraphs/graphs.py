@@ -74,14 +74,21 @@ class NotAVertex(Exception):
     """Adjacency was queried for an element outside the vertex set."""
 
 
-def later_items(row: int, k: int, items: Sequence[T]) -> Iterator[T]:
-    """The ``items[j]`` with j > k and bit j of ``row`` set, in order of j.
+def later_neighbours(rows: Sequence[int], items: Sequence[T]) -> Iterator[list[T]]:
+    """For each k, the ``items[j]`` with j > k and bit j of ``rows[k]`` set.
 
-    With ``row = rows[k]`` and ``items`` indexed like the vertices, this is
-    what each writer needs from vertex k's later neighbours, so every
-    unordered edge is met once, in carrier-index order.
+    Each distinct row's items are read off once, and every row equal to it (a
+    twin) slices its own tail; the list is dropped after the last such row.
     """
-    return set_bit_items(row >> (k + 1), items[k + 1 :])
+    last = {row: k for k, row in enumerate(rows)}
+    shared: dict[int, list[T]] = {}
+    for k, row in enumerate(rows):
+        got = shared.pop(row, None)
+        if got is None:
+            got = list(set_bit_items(row, items))
+        if last[row] > k:
+            shared[row] = got
+        yield got[(row & ((2 << k) - 1)).bit_count() :]
 
 
 @dataclass(frozen=True)
@@ -135,9 +142,9 @@ class GraphLevel:
     def edges(self) -> Iterator[tuple[int, int]]:
         """Unordered edges as element pairs, sorted by carrier index."""
         verts = self.vertices
-        for k, row in enumerate(self.rows):
-            for w in later_items(row, k, verts):
-                yield (verts[k], w)
+        for v, later in zip(verts, later_neighbours(self.rows, verts)):
+            for w in later:
+                yield (v, w)
 
     @property
     def edge_count(self) -> int:

@@ -26,7 +26,7 @@ from ringgraphs.analysis import (
     is_subgraph,
     zpnq_parts,
 )
-from ringgraphs.graphs import COZERO, ZERO, build_level
+from ringgraphs.graphs import COZERO, ZERO, build_level, vertex_set
 from ringgraphs.ideals import span, zero_ideal
 from ringgraphs.rings import build_ring
 
@@ -113,6 +113,20 @@ def test_zpnq_parts_examples():
         (3, 9, 15),
         (6, 12),
     )
+
+
+def test_zpnq_parts_match_valuations():
+    # parts by the p- and q-adic valuations of each vertex, p the prime with
+    # exponent above 1 (the smaller one when n = pq)
+    for n, p, q in [(12, 2, 3), (18, 3, 2), (20, 2, 5), (45, 3, 5), (50, 5, 2), (15, 3, 5),
+                    (35, 5, 7), (98, 7, 2), (250, 5, 2)]:
+        ring = build_ring(f"Z{n}")
+        parts = ([], [], [])
+        for x in vertex_set(ring, zero_ideal(ring)):
+            a = next(e for e in range(n) if x % p ** (e + 1))
+            b = next(e for e in range(n) if x % q ** (e + 1))
+            parts[0 if a == 0 else 1 if b == 0 else 2].append(x)
+        assert zpnq_parts(ring).parts == tuple(tuple(part) for part in parts if part), n
 
 
 def test_zpnq_parts_errors():

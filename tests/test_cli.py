@@ -290,9 +290,11 @@ GOOD_GRAPH = {"ring": "Z12", "ideal": [], "vertices": ["2", "3", "4", "9"],
     {"i": 0},
     {"i": 2.7},
     {"i": True},
+    {"edges": [["2", "3"], ["2", "14"]]},
 ], ids=["not-json", "level-not-int", "three-ended-edge", "missing-edges", "string-edge",
         "unknown-kind", "duplicate-vertex", "non-string-ideal-label", "non-string-vertex",
-        "non-string-ring", "loop-edge", "level-zero", "level-fraction", "level-bool"])
+        "non-string-ring", "loop-edge", "level-zero", "level-fraction", "level-bool",
+        "loop-edge-spelled-otherwise"])
 def test_export_malformed_graph_exits_2(tmp_path, capsys, text):
     if isinstance(text, dict):
         text = json.dumps({**GOOD_GRAPH, **text})
