@@ -6,7 +6,7 @@ radical and xi expose the ideal-theoretic helpers, verify runs a claim grid,
 and export re-emits a saved graph JSON in another format.
 
 Exit codes: 0 success, 1 a verify run disagreed with a pinned expectation,
-2 malformed input (grammar, carrier cap, unsupported ring family, bad files).
+2 malformed input (grammar, carrier cap, a multivariate modulus, bad files).
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ from . import analysis, claims, export
 from .analysis import NotZpnqForm
 from .conilpotency import conilpotency_record, ring_conilpotency_index
 from .graphs import COZERO, EXTENDED, ZERO, build_level, minimal_stabilization_index, stabilization_bound
-from .ideals import UnsupportedRingFamily, jacobson_radical, span_from_labels
+from .ideals import jacobson_radical, span_from_labels
 from .rings import ParseError, RingError, build_ring, descriptor_string
 
-_INPUT_ERRORS = (RingError, UnsupportedRingFamily, NotZpnqForm, OSError)
+_INPUT_ERRORS = (RingError, NotZpnqForm, OSError)
 
 
 def _parse_level(text: str):
@@ -148,7 +148,7 @@ def _cmd_analyze(args) -> int:
     }
     try:
         valuation = analysis.zpnq_parts(ring)
-    except (NotZpnqForm, UnsupportedRingFamily):
+    except NotZpnqForm:
         valuation = None
     if valuation is not None and J.bits == 1 and g.kind == COZERO:
         verdict = analysis.check_partition_claim(g, valuation)

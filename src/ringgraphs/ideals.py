@@ -121,22 +121,16 @@ def _span_bits(ring: Ring, values: tuple[int, ...], base_bits: int) -> int:
         d = math.gcd(n, *values, (low & -low).bit_length() - 1 if low else 0)
         return ((1 << n) - 1) // ((1 << d) - 1)
     if isinstance(desc, ProductRing):
-        # an ideal of a finite product is the product of its projections; a
-        # member's index is sum(c_i * w_i) over its components c_i and the
-        # mixed-radix weights w_i, so each factor shifts the partial product
+        # an ideal of a finite product is the product of its projections
         coords = [ring.decode(v) for v in values]
         base_coords = [ring.decode(a) for a in _indices(base_bits)]
-        bits = 1
-        for i, (f, w) in enumerate(zip(ring.factor_rings, ring._weights)):
+        factor_bits = []
+        for i, f in enumerate(ring.factor_rings):
             cbase = 0
             for c in base_coords:
                 cbase |= 1 << c[i]
-            cbits = _span_bits(f, tuple(c[i] for c in coords), cbase)
-            layer = 0
-            for c in _indices(cbits):
-                layer |= bits << (c * w)
-            bits = layer
-        return bits
+            factor_bits.append(_span_bits(f, tuple(c[i] for c in coords), cbase))
+        return ring.lift_bits(factor_bits)
     # the monomials span R over Z_m, so Rv is the Z_m-span of the mono*v
     gens = {ring.mul(ring.m**k, v) for k in range(len(ring.monomials)) for v in values}
     members = list(_indices(base_bits))
@@ -231,40 +225,22 @@ def is_prime(J: IdealSet) -> bool:
 
 
 def is_semiprime(J: IdealSet) -> bool:
-    """Proper, and x^2 in J forces x in J.
+    """Proper, and x^2 in J forces x in J: R/J has no nonzero nilpotent.
 
-    For commutative rings the squared-element test is equivalent to the
-    all-exponents condition; the equivalence is property-tested separately.
+    The nilpotents of R/J are √J / J, and in a finite ring √J = rad R + J:
+    in each local factor the radical of a proper ideal is the maximal ideal.
+    So J is semiprime exactly when it is proper and holds the radical.
     """
-    if not J.is_proper():
-        return False
-    ring = J.ring
-    for x in range(ring.size):
-        if not J.contains(x) and J.contains(ring.mul(x, x)):
-            return False
-    return True
+    return J.is_proper() and jacobson_radical(J.ring).issubset(J)
 
 
 def jacobson_radical(ring: Ring) -> IdealSet:
     """The Jacobson radical, which for a finite ring is its nilradical.
 
-    A finite ring is Artinian, so its Jacobson radical equals its nilradical.
-    A nilpotent x with x^k = 0 and x^(k-1) != 0 gives the strict chain
-    R > xR > ... > x^kR = 0 (an equal step x^jR = x^(j+1)R would make x^j
-    a multiple of every higher power of x, hence 0), and each step at least
-    halves the size, so 2^k <= |R| and x^bit_length(|R|) = 0.
+    A finite ring is Artinian, so its Jacobson radical equals its nilradical
+    (Atiyah-Macdonald, Ch. 8); the ring's power walk finds the nilpotents.
     """
-    cached = getattr(ring, "_jacobson", None)
-    if cached is not None:
-        return cached
-    k = ring.size.bit_length()
-    bits = 0
-    for x in range(ring.size):
-        if ring.pow(x, k) == ring.zero:
-            bits |= 1 << x
-    result = _intern(ring, bits)
-    ring._jacobson = result
-    return result
+    return _intern(ring, ring.nilpotent_bits())
 
 
 def _greedy_generators(ring: Ring, bits: int) -> list[int]:
@@ -287,30 +263,23 @@ def _greedy_generators(ring: Ring, bits: int) -> list[int]:
 def maximal_ideals(ring: Ring) -> list[IdealSet]:
     """All maximal ideals, for modular rings and products of modular rings.
 
-    Quotient rings are not enumerated here; callers must supply candidate
-    ideals and test is_maximal directly.
+    They come by factor, then by prime: for a prime p of factor i's modulus,
+    the ideal of the tuples whose component i is a multiple of p, spanned by
+    the tuple with p there and 1 in every other factor. Quotient rings are
+    not enumerated here; callers must supply candidate ideals and test
+    is_maximal directly.
     """
     desc = ring.descriptor
-    if isinstance(desc, ModularRing):
-        out = []
-        for p in prime_factorization(desc.modulus):
-            out.append(span(ring, (p % desc.modulus,)))
-        return out
-    if isinstance(desc, ProductRing):
-        if not all(isinstance(f, ModularRing) for f in desc.factors):
-            raise UnsupportedRingFamily(
-                "maximal ideals are enumerated only for modular rings and their products"
-            )
-        out = []
-        for i, f in enumerate(ring.factor_rings):
-            for m in maximal_ideals(f):
-                bits = 0
-                for a in range(ring.size):
-                    if m.contains(ring.decode(a)[i]):
-                        bits |= 1 << a
-                out.append(_intern(ring, bits))
-        return out
-    raise UnsupportedRingFamily(
-        "maximal ideals are enumerated only for modular rings and their products"
-    )
-
+    factors = desc.factors if isinstance(desc, ProductRing) else (desc,)
+    if not all(isinstance(f, ModularRing) for f in factors):
+        raise UnsupportedRingFamily(
+            "maximal ideals are enumerated only for modular rings and their products"
+        )
+    out = []
+    for i, f in enumerate(factors):
+        for p in prime_factorization(f.modulus):
+            comps = [1] * len(factors)
+            comps[i] = p % f.modulus
+            element = ring.encode(comps) if isinstance(desc, ProductRing) else comps[0]
+            out.append(span(ring, (element,)))
+    return out

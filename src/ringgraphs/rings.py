@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import re
 import threading
 from dataclasses import dataclass
@@ -348,8 +347,8 @@ class Ring:
     structure and ``pow`` from ``mul``. Quotient-ring ``add`` and ``neg``
     read two packed-digit tables, an immutable index <-> packed bijection
     built once, on first use. So arithmetic is safe to call from multiple
-    threads. The unit bitset is computed once, under the ring's lock, which
-    also guards the ideal intern table.
+    threads. The unit and nilpotent bitsets come from one power walk, run
+    once under the ring's lock, which also guards the ideal intern table.
     """
 
     descriptor: RingDescriptor
@@ -361,7 +360,7 @@ class Ring:
         self.descriptor = descriptor
         self.size = size
         self.full_bits = (1 << size) - 1
-        self._unit_bits: Optional[int] = None
+        self._power_bits: Optional[tuple[int, int]] = None
         self._lock = threading.Lock()
         # interned ideals by bits: one object per ideal, so they compare by identity
         self.ideal_intern: dict[int, object] = {}
@@ -386,18 +385,20 @@ class Ring:
     def parse_label(self, text: str) -> int:
         raise NotImplementedError
 
-    def _compute_unit_bits(self) -> int:
-        """Walk the powers of each element, settling every element passed.
+    def _compute_power_bits(self) -> tuple[int, int]:
+        """The unit and nilpotent bits, from one walk over the powers.
 
-        x is a unit iff some power of x is 1, and x^j is a unit iff x is, so
-        all powers on one walk share a verdict. A walk stops at a settled
-        element (1 is settled from the start), whose verdict it takes, or at
-        a repeat, which closes a cycle without 1. Each product settles an
-        element, so the scan costs about |R| products.
+        x^j is a unit, or nilpotent, exactly when x is, so all powers on one
+        walk share a verdict. A walk stops at a settled element (1 is a unit
+        and 0 nilpotent from the start), whose verdict it takes, or at a
+        repeat, which closes a cycle through neither 0 nor 1: a unit's powers
+        reach 1, and a nilpotent's reach 0, before any repeat. Each product
+        settles an element, so the scan costs about |R| products.
         """
-        UNIT, NON_UNIT, ON_WALK = 1, 2, 3
+        UNIT, NILPOTENT, OTHER, ON_WALK = 1, 2, 3, 4
         status = bytearray(self.size)
         status[self.one] = UNIT
+        status[self.zero] = NILPOTENT
         for x in range(self.size):
             walk = []
             p = x
@@ -405,14 +406,15 @@ class Ring:
                 status[p] = ON_WALK
                 walk.append(p)
                 p = self.mul(p, x)
-            verdict = UNIT if status[p] == UNIT else NON_UNIT
+            verdict = OTHER if status[p] == ON_WALK else status[p]
             for q in walk:
                 status[q] = verdict
-        bits = 0
-        for x in range(self.size):
-            if status[x] == UNIT:
-                bits |= 1 << x
-        return bits
+
+        def bits(verdict):
+            digits = bytes(b"01"[v == verdict] for v in range(256))
+            return int(status.translate(digits)[::-1], 2)
+
+        return bits(UNIT), bits(NILPOTENT)
 
     # shared operations ----------------------------------------------------------
 
@@ -433,12 +435,18 @@ class Ring:
                 p = self.mul(p, x)
         return p
 
-    def unit_bits(self) -> int:
-        if self._unit_bits is None:
+    def _unit_and_nilpotent_bits(self) -> tuple[int, int]:
+        if self._power_bits is None:
             with self._lock:
-                if self._unit_bits is None:
-                    self._unit_bits = self._compute_unit_bits()
-        return self._unit_bits
+                if self._power_bits is None:
+                    self._power_bits = self._compute_power_bits()
+        return self._power_bits
+
+    def unit_bits(self) -> int:
+        return self._unit_and_nilpotent_bits()[0]
+
+    def nilpotent_bits(self) -> int:
+        return self._unit_and_nilpotent_bits()[1]
 
     def is_unit(self, x: int) -> bool:
         return bool(self.unit_bits() >> x & 1)
@@ -473,13 +481,6 @@ class _ModularRingOps(Ring):
         if not re.fullmatch(r"-?\d+", s):
             raise ParseError(f"bad element label {text!r} for Z{self.n}")
         return int(s) % self.n
-
-    def _compute_unit_bits(self):
-        bits = 0
-        for x in range(self.n):
-            if math.gcd(x, self.n) == 1:
-                bits |= 1 << x
-        return bits
 
 
 class _ProductRingOps(Ring):
@@ -522,21 +523,27 @@ class _ProductRingOps(Ring):
     def coordinates(self, a):
         return tuple(f.coordinates(c) for f, c in zip(self.factor_rings, self.decode(a)))
 
-    def _compute_unit_bits(self):
-        """A tuple is a unit iff each component is a unit of its factor.
+    def lift_bits(self, factor_bits) -> int:
+        """Bits of the tuples whose component i has its bit set in factor_bits[i].
 
-        A unit's index is sum(c_i * w_i) over unit components c_i and the
-        mixed-radix weights w_i, so each factor's units shift the partial set.
+        Such a tuple's index is sum(c_i * w_i) over its components c_i and the
+        mixed-radix weights w_i, so each factor's bits shift the partial set.
         """
         bits = 1
-        for f, w in zip(self.factor_rings, self._weights):
-            units = f.unit_bits()
+        for fbits, w in zip(factor_bits, self._weights):
             layer = 0
-            for c in range(f.size):
-                if units >> c & 1:
+            for c, digit in enumerate(f"{fbits:b}"[::-1]):
+                if digit == "1":
                     layer |= bits << (c * w)
             bits = layer
         return bits
+
+    def _compute_power_bits(self):
+        """A tuple is a unit, or nilpotent, exactly when each component is."""
+        return (
+            self.lift_bits([f.unit_bits() for f in self.factor_rings]),
+            self.lift_bits([f.nilpotent_bits() for f in self.factor_rings]),
+        )
 
     def label(self, a):
         comps = self.decode(a)

@@ -111,6 +111,34 @@ def naive_is_prime(ring, j_members):
     )
 
 
+def naive_is_semiprime(ring, j_members):
+    """Proper, and x^2 in J forces x in J (squaring scan)."""
+    return len(j_members) < ring.size and not any(
+        x not in j_members and ring.mul(x, x) in j_members for x in range(ring.size)
+    )
+
+
+def naive_units(ring):
+    """The x with xy = 1 for some y.
+
+    An inverse is unique, so an x below its inverse marks both, and each x
+    left unmarked needs only the y from x on.
+    """
+    units = set()
+    for x in range(ring.size):
+        if x not in units:
+            for y in range(x, ring.size):
+                if ring.mul(x, y) == ring.one:
+                    units |= {x, y}
+                    break
+    return units
+
+
+def naive_nilpotents(ring):
+    """The x with x^k = 0 for some k <= |R|, that is, with x^|R| = 0."""
+    return {x for x in range(ring.size) if ring.pow(x, ring.size) == ring.zero}
+
+
 def naive_adjacent(ring, j_members, x, y, i, kind, coset=None):
     """Literal definition, one coset enumeration per exponent pair.
 

@@ -5,7 +5,15 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from oracles import closure_span, coset_set, linear_combinations_span, naive_is_prime
+from oracles import (
+    closure_span,
+    coset_set,
+    linear_combinations_span,
+    naive_is_prime,
+    naive_is_semiprime,
+    naive_nilpotents,
+    naive_units,
+)
 from ringgraphs.ideals import (
     UnsupportedRingFamily,
     ideal_sum,
@@ -20,6 +28,7 @@ from ringgraphs.ideals import (
     zero_ideal,
 )
 from ringgraphs.rings import build_ring
+from test_rings import PRODUCT_RINGS
 
 ORACLE_RINGS = [
     "Z6",
@@ -32,6 +41,17 @@ ORACLE_RINGS = [
     "Z4[t]/(t^2+t+1)",
     "Z2[x,y]/(x^2,y^2)",
 ]
+
+# the rings whose units, nilpotents and semiprime ideals are checked against
+# the referees: the oracle rings, every product ring, and non-local quotients
+STRUCTURE_RINGS = list(dict.fromkeys([
+    *ORACLE_RINGS,
+    *PRODUCT_RINGS,
+    "Z6[x]/(x^2)",
+    "Z2[t]/(t^2+t)",
+    "Z10[x]/(x^2)",
+    "Z2[x,y]/(x^3+x,y^2)",
+]))
 
 
 def members(ideal):
@@ -133,6 +153,29 @@ def test_semiprime_square_criterion_matches_all_exponents(name):
         assert by_square == by_exponents
 
 
+@pytest.mark.parametrize("name", STRUCTURE_RINGS)
+def test_power_walk_matches_naive_units_and_nilpotents(name):
+    ring = build_ring(name)
+    nilpotents = naive_nilpotents(ring)
+    assert ring.unit_bits() == sum(1 << x for x in naive_units(ring))
+    assert ring.nilpotent_bits() == sum(1 << x for x in nilpotents)
+    assert members(jacobson_radical(ring)) == nilpotents
+
+
+@pytest.mark.parametrize("name", STRUCTURE_RINGS)
+def test_semiprime_matches_squaring_scan(name):
+    ring = build_ring(name)
+    step = max(1, ring.size // 9)
+    pairs = itertools.product(range(0, ring.size, step), repeat=2)
+    seen = set()
+    for gens in [*([g] for g in range(ring.size)), *map(list, pairs)]:
+        J = span(ring, gens)
+        if J.bits in seen:
+            continue
+        seen.add(J.bits)
+        assert is_semiprime(J) == naive_is_semiprime(ring, set(J.members())), gens
+
+
 def test_jacobson_examples():
     assert members(jacobson_radical(build_ring("Z12"))) == {0, 6}
     assert members(jacobson_radical(build_ring("Z8"))) == {0, 2, 4, 6}
@@ -170,6 +213,22 @@ def test_maximal_ideals_examples():
     assert pulled == [{"(0,0)", "(0,1)"}, {"(0,0)", "(1,0)"}]
     with pytest.raises(UnsupportedRingFamily):
         maximal_ideals(build_ring("Z4[x]/(x^2)"))
+
+
+@pytest.mark.parametrize(
+    "name, primes",
+    [
+        ("Z4xZ9xZ25", [(0, 2), (1, 3), (2, 5)]),
+        ("Z8xZ3xZ2xZ5", [(0, 2), (1, 3), (2, 2), (3, 5)]),
+        ("Z6xZ10", [(0, 2), (0, 3), (1, 2), (1, 5)]),
+    ],
+)
+def test_maximal_ideals_of_products_by_factor_then_prime(name, primes):
+    # the ideal for (i, p) holds the tuples whose component i is a multiple of p
+    ring = build_ring(name)
+    assert [members(m) for m in maximal_ideals(ring)] == [
+        {a for a in ring.elements() if ring.decode(a)[i] % p == 0} for i, p in primes
+    ]
 
 
 @pytest.mark.parametrize("name", ["Z6", "Z12", "Z18", "Z20", "Z36", "Z4xZ9"])

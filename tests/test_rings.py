@@ -271,11 +271,12 @@ PRODUCT_RINGS = ["Z4xZ9", "Z2xZ2", "Z2xZ3", "Z2xZ3xZ5", "Z4xZ9xZ25", "Z2xZ4", "Z
 
 @pytest.mark.parametrize("name", PRODUCT_RINGS)
 def test_product_unit_bits_match_power_walk(name):
-    # a tuple is a unit iff each component is one; the generic power walk of
-    # Ring._compute_unit_bits decides the same set without the factors
+    # a tuple is a unit, or nilpotent, iff each component is; the generic
+    # power walk of Ring._compute_power_bits decides both sets without the
+    # factors
     ring = build_ring(name)
-    assert type(ring)._compute_unit_bits is not Ring._compute_unit_bits
-    assert ring.unit_bits() == Ring._compute_unit_bits(ring)
+    assert type(ring)._compute_power_bits is not Ring._compute_power_bits
+    assert (ring.unit_bits(), ring.nilpotent_bits()) == Ring._compute_power_bits(ring)
 
 
 def test_modular_unit_scan_large():
