@@ -39,21 +39,12 @@ class PartitionWitness:
     def arity(self) -> int:
         return len(self.parts)
 
-    def part_of(self, x: int) -> int:
-        for k, part in enumerate(self.parts):
-            if x in part:
-                return k
-        raise KeyError(x)
-
 
 @dataclass(frozen=True)
 class PartitionVerdict:
     holds: bool
     witness: Optional[tuple[int, int]] = None
     reason: str = ""
-
-    def __bool__(self):
-        return self.holds
 
 
 def is_empty_graph(g: GraphLevel) -> bool:
@@ -158,6 +149,21 @@ def induced_subgraph(g: GraphLevel, keep: set[int]) -> GraphLevel:
     )
 
 
+def zpnq_shape(ring: Ring) -> tuple[int, int, int]:
+    """(p, n, q) for a Z_{p^n q} ring with distinct primes p and q.
+
+    p carries the exponent n; for squarefree pq, p is the smaller prime.
+    """
+    desc = ring.descriptor
+    if not isinstance(desc, ModularRing):
+        raise NotZpnqForm("only modular rings have the p^n q shape")
+    factors = prime_factorization(desc.modulus)
+    if len(factors) != 2 or min(factors.values()) != 1:
+        raise NotZpnqForm(f"{desc.modulus} is not of the form p^n * q")
+    p, q = sorted(factors, key=lambda r: (-factors[r], r))
+    return p, factors[p], q
+
+
 def zpnq_parts(ring: Ring) -> PartitionWitness:
     """Valuation parts of the vertex set of a Z_{p^n q} ring with J = 0.
 
@@ -165,15 +171,7 @@ def zpnq_parts(ring: Ring) -> PartitionWitness:
     a = 0, then b = 0, then both positive (dropped when empty); a = 0 is
     p not dividing the vertex, and likewise for b and q.
     """
-    desc = ring.descriptor
-    if not isinstance(desc, ModularRing):
-        raise NotZpnqForm("only modular rings have the p^n q shape")
-    n = desc.modulus
-    factors = prime_factorization(n)
-    if len(factors) != 2 or sorted(factors.values())[0] != 1:
-        raise NotZpnqForm(f"{n} is not of the form p^n * q")
-    # p carries the exponent above 1; for squarefree pq, p is the smaller prime
-    p, q = sorted(factors, key=lambda r: (-factors[r], r))
+    p, _, q = zpnq_shape(ring)
     v1, v2, v3 = [], [], []
     for x in level_context(ring, zero_ideal(ring)).vertices():
         if x % p:

@@ -187,21 +187,21 @@ def _run_empty(r: _Resolved):
     return REFUTED, _pair_witness("edge", g, *_first_pair(g, g.rows)), "an edge exists"
 
 
+def _zpnq_instance(r: _Resolved) -> Optional[tuple[int, int, int]]:
+    """The ring's (p, n, q) when the ideal is 0 and the params p, n, q name it."""
+    try:
+        shape = analysis.zpnq_shape(r.ring)
+    except analysis.NotZpnqForm:
+        return None
+    named = tuple(r.instance.param(key) for key in ("p", "n", "q"))
+    return shape if named == shape and r.J.bits == 1 else None
+
+
 def _run_grow(r: _Resolved):
-    p = r.instance.param("p")
-    q = r.instance.param("q")
-    n = r.instance.param("n")
-    desc = r.ring.descriptor
-    if (
-        p is None
-        or q is None
-        or n is None
-        or n <= 1
-        or not isinstance(desc, ModularRing)
-        or desc.modulus != p**n * q
-        or r.J.bits != 1
-    ):
+    shape = _zpnq_instance(r)
+    if shape is None or shape[1] <= 1:
         return VACUOUS, None, "instance does not match Z_{p^n q} with n > 1 and ideal 0"
+    p, n, _ = shape
     g_lo = r.graph(n - 1)
     g_hi = r.graph(n)
     if analysis.graph_equals(g_lo, g_hi):
@@ -210,8 +210,7 @@ def _run_grow(r: _Resolved):
             "graph": COZERO,
             "levels": [n - 1, n],
         }, "levels n-1 and n coincide"
-    u = (p ** (n - 1) * q) % desc.modulus
-    v = p % desc.modulus
+    u, v = r.ring.size // p, p  # p^(n-1) q and p
     if not g_lo.has_edge(u, v) and g_hi.has_edge(u, v):
         witness = _pair_witness("edge", g_hi, u, v, absent_at_level=n - 1)
         return VERIFIED, witness, "levels differ; the expected pair is the new edge"
@@ -240,15 +239,11 @@ def _run_filtration(r: _Resolved):
 
 
 def _run_tripartite(r: _Resolved):
-    n = r.instance.param("n")
-    desc = r.ring.descriptor
-    if n is None or not isinstance(desc, ModularRing) or r.J.bits != 1:
+    shape = _zpnq_instance(r)
+    if shape is None:
         return VACUOUS, None, "instance does not match Z_{p^n q} with ideal 0"
-    try:
-        parts = zpnq_parts(r.ring)
-    except analysis.NotZpnqForm:
-        return VACUOUS, None, "modulus is not of the p^n q shape"
-    g = r.graph(n)
+    parts = zpnq_parts(r.ring)
+    g = r.graph(shape[1])
     part_labels = [[r.ring.label(v) for v in part] for part in parts.parts]
     if parts.arity != 3:
         return REFUTED, {
@@ -344,32 +339,29 @@ def _run_vertex_membership(r: _Resolved):
     vbits = r.ctx.vertex_bits()
     one = ring.one
     checked = 0
-    # stable power in the vertex set forces 1 - x in
-    for x in range(ring.size):
-        stable = _stable_power(ring, x)
-        if stable is None or not vbits >> stable[1] & 1:
+    # stable power in the vertex set forces 1 - x in; a unit's stable power
+    # is 1 and a nilpotent's is 0, and neither is a vertex
+    for x, n, xn in _stable_cases(ring):
+        if not vbits >> xn & 1:
             continue
         checked += 1
         if not vbits >> ring.sub(one, x) & 1:
-            witness = _element_witness(
-                r, x, stable[0], "1-x not a vertex despite stable vertex power"
-            )
+            witness = _element_witness(r, x, n, "1-x not a vertex despite stable vertex power")
             return REFUTED, witness, "forward membership fails"
-    # with J inside the radical, 1 - x a vertex forces every power in
-    jac = jacobson_radical(ring)
-    if J.issubset(jac):
-        for x in range(ring.size):
-            if ring.is_unit(x):
-                continue
+    # with J inside the radical, 1 - x a vertex forces every power in: x is
+    # then a vertex, so x^n is one exactly when x^nR + J != J, and of the
+    # strictly descending chain only the last ideal can be J
+    if J.issubset(jacobson_radical(ring)):
+        for x in set_bit_items(ring.full_bits & ~ring.unit_bits(), range(ring.size)):
             if not vbits >> ring.sub(one, x) & 1:
                 continue
-            for n in range(1, len(r.ctx.trajectory(x).ideals) + 1):
-                checked += 1
-                if not vbits >> ring.pow(x, n) & 1:
-                    witness = _element_witness(
-                        r, x, n, "x^n not a vertex despite 1-x being one"
-                    )
-                    return REFUTED, witness, "reverse membership fails"
+            chain = r.ctx.trajectory(x).ideals
+            checked += len(chain)
+            if chain[-1] is J:
+                witness = _element_witness(
+                    r, x, len(chain), "x^n not a vertex despite 1-x being one"
+                )
+                return REFUTED, witness, "reverse membership fails"
     if checked == 0:
         return VACUOUS, None, "no element satisfies either hypothesis"
     return VERIFIED, None, f"{checked} membership cases verified"
@@ -450,8 +442,7 @@ def check_bipartite_iff(
         return VACUOUS, None, "ideal is not inside the radical"
     if not (is_maximal(m1) and is_maximal(m2)) or m1.bits == m2.bits:
         return VACUOUS, None, "supplied ideals are not two distinct maximal ideals"
-    part1 = tuple(x for x in m1.members() if not jac.contains(x))
-    part2 = tuple(x for x in m2.members() if not jac.contains(x))
+    part1, part2 = (tuple(set_bit_items(m.bits & ~jac.bits, range(ring.size))) for m in (m1, m2))
     g = build_level(ring, J, i, COZERO)
     if _edge_inside(g, part1) or _edge_inside(g, part2):
         return VERIFIED, None, f"both sides fail: equivalence confirmed at level {i}"
@@ -665,13 +656,7 @@ GRID_RINGS = [
     "Z4xZ9", "Z2xZ2",
 ]
 
-PNQ_CASES = [
-    ("Z12", 2, 3, 2),
-    ("Z24", 2, 3, 3),
-    ("Z18", 3, 2, 2),
-    ("Z20", 2, 5, 2),
-    ("Z50", 5, 2, 2),
-]
+PNQ_RINGS = ["Z12", "Z24", "Z18", "Z20", "Z50"]
 
 LEVELS = [1, 2, 3, "ext"]
 
@@ -697,13 +682,11 @@ def grid_ideals(ring_name: str) -> list[str]:
 
 
 def _expected_for(claim_id: str, ring_name: str, ideal_label: str) -> str:
-    if claim_id == "C-TRI":
-        return REFUTED
     if claim_id == "C-SEMI" and ring_name == "Z2xZ2" and ideal_label == "0":
         # the zero-divisor level of Z2xZ2 is the complete graph on the two
         # nontrivial idempotents even though the zero ideal is semiprime
         return REFUTED
-    return VERIFIED
+    return CATALOG[claim_id].default_expected
 
 
 def default_grid() -> list[ClaimInstance]:
@@ -731,7 +714,8 @@ def default_grid() -> list[ClaimInstance]:
     for name in prime_powers:
         for i in LEVELS:
             add("C-EMPTY", name, "0", i=i)
-    for ring_name, p, q, n in PNQ_CASES:
+    for ring_name in PNQ_RINGS:
+        p, n, q = analysis.zpnq_shape(build_ring(ring_name))
         add("C-GROW", ring_name, "0", p=p, q=q, n=n)
         add("C-TRI", ring_name, "0", p=p, q=q, n=n)
     for name in GRID_RINGS:

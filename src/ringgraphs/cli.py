@@ -17,13 +17,12 @@ import sys
 from typing import Optional
 
 from . import analysis, claims, export
-from .analysis import NotZpnqForm
 from .conilpotency import conilpotency_record, ring_conilpotency_index
 from .graphs import COZERO, EXTENDED, ZERO, build_level, minimal_stabilization_index, stabilization_bound
 from .ideals import jacobson_radical, span_from_labels
 from .rings import ParseError, RingError, build_ring, descriptor_string
 
-_INPUT_ERRORS = (RingError, NotZpnqForm, OSError)
+_INPUT_ERRORS = (RingError, OSError)
 
 
 def _parse_level(text: str):
@@ -148,7 +147,7 @@ def _cmd_analyze(args) -> int:
     }
     try:
         valuation = analysis.zpnq_parts(ring)
-    except NotZpnqForm:
+    except analysis.NotZpnqForm:
         valuation = None
     if valuation is not None and J.bits == 1 and g.kind == COZERO:
         verdict = analysis.check_partition_claim(g, valuation)

@@ -315,6 +315,31 @@ def adjacent(ring: Ring, J: IdealSet, x: int, y: int, i: Level, kind: str = COZE
     return ctx.adjacent(x, y, ctx.level(i), kind)
 
 
+def _level_rows(ctx: LevelContext, lvl: int, kind: str) -> Iterator[int]:
+    """The adjacency rows of one level, each twin class pair decided once."""
+    # twin classes are the orbits, each sharing one trajectory object:
+    # class index per object, each class's trajectory and member mask
+    classes: dict[int, int] = {}
+    trajs: list[PowerTrajectory] = []
+    class_of = []
+    for v in ctx.vertices():
+        t = ctx.trajectory(v)
+        c = classes.setdefault(id(t), len(classes))
+        if c == len(trajs):
+            trajs.append(t)
+        class_of.append(c)
+    members = [0] * len(classes)
+    for k, c in enumerate(class_of):
+        members[c] |= 1 << k
+    neighbours = [0] * len(classes)
+    for a, ta in enumerate(trajs):
+        for b in range(a, len(trajs)):
+            if ctx.related(kind, ta, trajs[b], lvl):
+                neighbours[a] |= members[b]
+                neighbours[b] |= members[a]
+    return (neighbours[c] & ~(1 << k) for k, c in enumerate(class_of))
+
+
 def build_level(ring: Ring, J: IdealSet, i: Level, kind: str = COZERO) -> GraphLevel:
     """Materialize the full level graph with a symmetric adjacency matrix."""
     verts = vertex_set(ring, J, kind)
@@ -322,27 +347,6 @@ def build_level(ring: Ring, J: IdealSet, i: Level, kind: str = COZERO) -> GraphL
     lvl = ctx.level(i)
     concrete = ctx._graphs.get((lvl, kind))
     if concrete is None:
-        # twin classes are the orbits, each sharing one trajectory object:
-        # class index per object, each class's trajectory and member mask
-        classes: dict[int, int] = {}
-        trajs: list[PowerTrajectory] = []
-        class_of = []
-        for v in verts:
-            t = ctx.trajectory(v)
-            c = classes.setdefault(id(t), len(classes))
-            if c == len(trajs):
-                trajs.append(t)
-            class_of.append(c)
-        members = [0] * len(classes)
-        for k, c in enumerate(class_of):
-            members[c] |= 1 << k
-        neighbours = [0] * len(classes)
-        for a, ta in enumerate(trajs):
-            for b in range(a, len(trajs)):
-                if ctx.related(kind, ta, trajs[b], lvl):
-                    neighbours[a] |= members[b]
-                    neighbours[b] |= members[a]
-        rows = [neighbours[c] & ~(1 << k) for k, c in enumerate(class_of)]
         concrete = GraphLevel(
             ring=ring,
             ideal=J,
@@ -350,21 +354,23 @@ def build_level(ring: Ring, J: IdealSet, i: Level, kind: str = COZERO) -> GraphL
             level=lvl,
             requested_extended=False,
             vertices=verts,
-            rows=tuple(rows),
+            rows=tuple(_level_rows(ctx, lvl, kind)),
         )
         concrete = ctx._graphs.setdefault((lvl, kind), concrete)
     return replace(concrete, requested_extended=True) if i == EXTENDED else concrete
 
 
 def minimal_stabilization_index(ring: Ring, J: IdealSet, kind: str = COZERO) -> int:
-    """Smallest level whose graph already equals the stabilized limit."""
-    bound = stabilization_bound(ring, J)
-    limit = build_level(ring, J, bound, kind)
-    sharp = bound
-    for i in range(bound - 1, 0, -1):
-        if build_level(ring, J, i, kind).rows == limit.rows:
-            sharp = i
-        else:
-            break
-    return sharp
+    """Smallest level whose graph already equals the stabilized limit.
 
+    Only the limit is built and cached; each lower level's rows are compared
+    with it as they are made, and none of them is kept.
+    """
+    limit = build_level(ring, J, stabilization_bound(ring, J), kind)
+    ctx = level_context(ring, J)
+    sharp = limit.level
+    while sharp > 1 and all(
+        row == lim for row, lim in zip(_level_rows(ctx, sharp - 1, kind), limit.rows)
+    ):
+        sharp -= 1
+    return sharp

@@ -25,6 +25,7 @@ from ringgraphs.analysis import (
     is_empty_graph,
     is_subgraph,
     zpnq_parts,
+    zpnq_shape,
 )
 from ringgraphs.graphs import COZERO, ZERO, build_level, vertex_set
 from ringgraphs.ideals import span, zero_ideal
@@ -127,12 +128,16 @@ def test_zpnq_parts_match_valuations():
             b = next(e for e in range(n) if x % q ** (e + 1))
             parts[0 if a == 0 else 1 if b == 0 else 2].append(x)
         assert zpnq_parts(ring).parts == tuple(tuple(part) for part in parts if part), n
+        shape_p, shape_n, shape_q = zpnq_shape(ring)
+        assert (shape_p, shape_q) == (p, q) and shape_p**shape_n * shape_q == n, n
 
 
 def test_zpnq_parts_errors():
     for name in ("Z8", "Z36", "Z30", "Z4xZ9"):
         with pytest.raises(NotZpnqForm):
             zpnq_parts(build_ring(name))
+        with pytest.raises(NotZpnqForm):
+            zpnq_shape(build_ring(name))
 
 
 def test_zpnq_parts_drop_empty_class():

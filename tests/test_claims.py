@@ -6,11 +6,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import ringgraphs
+from oracles import coset_set, naive_nilpotents, naive_units, naive_vertices
+from test_acceptance import ORACLE_RINGS
 from ringgraphs.claims import (
     CATALOG,
     GRID_RINGS,
@@ -74,6 +77,90 @@ def test_tripartite_claim_refuted_with_replayable_witness():
     assert report.status == REFUTED
     assert (report.witness["x"], report.witness["y"]) == ("3", "6")
     assert replay_witness(report)
+
+
+def test_zpnq_instances_off_the_ring_shape_are_vacuous():
+    # the params are compared with the ring's (p, n, q); p^n q is never
+    # computed, so a huge n costs nothing
+    start = time.perf_counter()
+    huge = [
+        run_claim(inst("C-GROW", "Z12", p=2, q=3, n=30_000_000)),
+        run_claim(inst("C-GROW", "Z18", p=3, q=2, n=30_000_000)),
+    ]
+    assert time.perf_counter() - start < 1.0
+    for report in (
+        *huge,
+        run_claim(inst("C-GROW", "Z48", p=4, q=3, n=2)),  # 4 * 4 * 3 = 48, 4 not prime
+        run_claim(inst("C-GROW", "Z12", p=2, q=3, n="ext")),  # a grid file may pass "ext"
+        run_claim(inst("C-TRI", "Z12", p=2, q=3, n=7)),
+        run_claim(inst("C-TRI", "Z12", p=3, q=2, n=2)),
+    ):
+        assert (report.status, report.witness) == (VACUOUS, None), report.instance
+
+
+def test_grid_takes_zpnq_params_from_the_ring_shape():
+    pinned = {"Z12": (2, 3, 2), "Z24": (2, 3, 3), "Z18": (3, 2, 2), "Z20": (2, 5, 2),
+              "Z50": (5, 2, 2)}
+    derived = [
+        (i.claim, i.ring, (i.param("p"), i.param("q"), i.param("n")))
+        for i in default_grid()
+        if i.claim in ("C-GROW", "C-TRI")
+    ]
+    assert derived == [
+        (claim, ring, pqn) for ring, pqn in pinned.items() for claim in ("C-GROW", "C-TRI")
+    ]
+
+
+def brute_vertex_membership_cases(ring, J):
+    """C-VMEM's case count straight from the definitions, or None if one fails.
+
+    Powers come from ``ring.pow`` up to x^(|R|+1), past any stable power, and
+    vertices, units, nilpotents and the ideals x^nR + J from the oracles.
+    """
+    j_members = set(J.members())
+    verts = set(naive_vertices(ring, j_members, "cozero"))
+    units = naive_units(ring)
+    inside_radical = j_members <= naive_nilpotents(ring)
+    cases = 0
+    for x in range(ring.size):
+        powers = [ring.pow(x, n) for n in range(1, ring.size + 2)]
+        stable = next((a for a, b in zip(powers, powers[1:]) if a == b), None)
+        one_minus_in = ring.sub(ring.one, x) in verts
+        if stable in verts:
+            cases += 1
+            if not one_minus_in:
+                return None
+        if inside_radical and one_minus_in and x not in units:
+            ideals = [coset_set(ring, j_members, powers[0])]
+            while (ideal := coset_set(ring, j_members, powers[len(ideals)])) != ideals[-1]:
+                ideals.append(ideal)
+            cases += len(ideals)
+            if any(a not in verts for a in powers[: len(ideals)]):
+                return None
+    return cases
+
+
+def test_vertex_membership_matches_brute_force_cases():
+    # the runner reads stable cases, unit bits and power chains; the referee
+    # scans every element with ring.pow
+    checked = 0
+    for name in ORACLE_RINGS:
+        ring = build_ring(name)
+        for ideal in grid_ideals(name):
+            J = span_from_labels(ring, ideal)
+            report = run_claim(inst("C-VMEM", name, ideal))
+            if report.detail == "ideal is maximal or improper":
+                continue
+            cases = brute_vertex_membership_cases(ring, J)
+            assert cases is not None, (name, ideal)
+            expected = (
+                (VERIFIED, f"{cases} membership cases verified")
+                if cases
+                else (VACUOUS, "no element satisfies either hypothesis")
+            )
+            assert (report.status, report.detail) == expected, (name, ideal)
+            checked += bool(cases)
+    assert checked >= 16, checked
 
 
 def test_prime_claim_vacuous_on_finite_rings():

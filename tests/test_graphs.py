@@ -15,6 +15,7 @@ from oracles import (
     naive_vertices,
     power_rho,
 )
+from test_acceptance import ORACLE_RINGS
 from ringgraphs import graphs
 from ringgraphs.graphs import (
     COZERO,
@@ -34,6 +35,7 @@ from ringgraphs.ideals import (
     UnsupportedRingFamily,
     ideal_sum,
     is_maximal,
+    jacobson_radical,
     maximal_ideals,
     principal_plus,
     span,
@@ -140,6 +142,37 @@ def test_minimal_stabilization_index_examples():
     for name in ("Z8", "Z9", "Z27"):
         ring, J0 = zero_of(name)
         assert minimal_stabilization_index(ring, J0) == 1
+
+
+def test_minimal_stabilization_index_caches_only_the_bound():
+    # the lower levels are compared with the limit as they are made, not kept
+    ring, J = zero_of("Z2[x,y]/(x^3,y^2)")
+    ctx = graphs.level_context(ring, J)
+    bound = stabilization_bound(ring, J)
+    for kind, sharp in ((COZERO, 2), (ZERO, 3)):
+        ctx._graphs.clear()
+        assert minimal_stabilization_index(ring, J, kind) == sharp < bound
+        assert list(ctx._graphs) == [(bound, kind)]
+
+
+def test_stabilization_indices_match_naive_edge_referee():
+    # a strict chain of ideals at least halves at each step, so level
+    # |R|.bit_length() is past every chain and gives the limit's edges
+    for name in ORACLE_RINGS:
+        ring = build_ring(name)
+        top = ring.size.bit_length()
+        for J in {I.bits: I for I in (zero_ideal(ring), jacobson_radical(ring))}.values():
+            j_members = set(J.members())
+            bound = stabilization_bound(ring, J)
+            for kind in (COZERO, ZERO):
+                limit = naive_edges(ring, j_members, top, kind)
+                sharp = next(
+                    i for i in range(1, top) if naive_edges(ring, j_members, i, kind) == limit
+                )
+                case = (name, J.bits, kind)
+                assert minimal_stabilization_index(ring, J, kind) == sharp, case
+                assert sharp <= bound < top, case
+                assert naive_edges(ring, j_members, bound, kind) == limit, case
 
 
 def test_level_one_matches_plain_membership_rule():
