@@ -47,13 +47,14 @@ from .ideals import (
     is_maximal,
     is_semiprime,
     jacobson_radical,
+    maximal_generators,
     maximal_ideals,
     principal_plus,
     set_bit_items,
     span,
     span_from_labels,
 )
-from .rings import ModularRing, ParseError, Ring, build_ring, prime_factorization
+from .rings import ModularRing, ParseError, Ring, build_ring
 
 VERIFIED = "VERIFIED"
 REFUTED = "REFUTED"
@@ -175,9 +176,13 @@ def _element_witness(r: _Resolved, x: int, n: int, condition: str) -> dict:
 # Claim runners
 # ---------------------------------------------------------------------------
 
+def _is_zpn(ring: Ring) -> bool:
+    """Z_{p^n}: a modular ring with exactly one maximal ideal."""
+    return isinstance(ring.descriptor, ModularRing) and len(maximal_generators(ring)) == 1
+
+
 def _run_empty(r: _Resolved):
-    desc = r.ring.descriptor
-    if not isinstance(desc, ModularRing) or len(prime_factorization(desc.modulus)) != 1:
+    if not _is_zpn(r.ring):
         return VACUOUS, None, "ring is not Z_{p^n}"
     if r.J.bits != 1:
         return VACUOUS, None, "ideal is not 0"
@@ -412,14 +417,10 @@ def _run_bipartite(r: _Resolved):
         return UNSUPPORTED, None, "maximal ideals are not enumerated for this ring"
     if len(maxima) != 2:
         return VACUOUS, None, f"ring has {len(maxima)} maximal ideals, not 2"
-    return check_bipartite_iff(
-        r.ring, r.J, maxima[0], maxima[1], r.level(r.instance.param("i", 1))
-    )
+    return check_bipartite_iff(r.ring, r.J, *maxima, r.level(r.instance.param("i", 1)))
 
 
-def check_bipartite_iff(
-    ring: Ring, J: IdealSet, m1: IdealSet, m2: IdealSet, i: int
-):
+def check_bipartite_iff(ring: Ring, J: IdealSet, m1: IdealSet, m2: IdealSet, i: int):
     """Both directions of the two-maximal-ideal bipartiteness equivalence.
 
     Side A: the level graph with radical vertices removed is complete
@@ -693,12 +694,7 @@ def default_grid() -> list[ClaimInstance]:
     """The built-in verification grid; fully deterministic."""
     instances: list[ClaimInstance] = []
     ideals_by_ring = {name: grid_ideals(name) for name in GRID_RINGS}
-    prime_powers = [
-        name
-        for name in GRID_RINGS
-        if isinstance(build_ring(name).descriptor, ModularRing)
-        and len(prime_factorization(build_ring(name).descriptor.modulus)) == 1
-    ]
+    rings = {name: build_ring(name) for name in GRID_RINGS}
 
     def add(claim, ring_name, ideal_label, **params):
         instances.append(
@@ -711,11 +707,11 @@ def default_grid() -> list[ClaimInstance]:
             )
         )
 
-    for name in prime_powers:
+    for name in [name for name, ring in rings.items() if _is_zpn(ring)]:
         for i in LEVELS:
             add("C-EMPTY", name, "0", i=i)
     for ring_name in PNQ_RINGS:
-        p, n, q = analysis.zpnq_shape(build_ring(ring_name))
+        p, n, q = analysis.zpnq_shape(rings[ring_name])
         add("C-GROW", ring_name, "0", p=p, q=q, n=n)
         add("C-TRI", ring_name, "0", p=p, q=q, n=n)
     for name in GRID_RINGS:

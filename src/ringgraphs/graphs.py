@@ -43,14 +43,18 @@ is never adjacent to y at level 1; and for an idempotent y,
 (xy)^m = x^m y lies in y^nR, so xy is never adjacent to y at any level.
 
 The chain is constant on each orbit Ux + J, for U the units of R: with u a
-unit and j in J, (ux + j)^m lies in u^m x^m + J, and u^m is a unit, so
+unit and j in J, (ux + j)^m lies in u^m x^m + J with u^m a unit, so
 (ux + j)^m R + J = x^m R + J for every m. Conversely, if xR + J = yR + J then
 x and y are associates in the finite ring R/J, hence unit multiples of each
-other there, and the unit lifts to R; so the first ideal xR + J names the
-orbit, and the twin classes are exactly the orbits, at every level.
-``LevelContext.trajectory`` builds one chain per orbit and hands that one
-object to every member; a non-vertex has the one-ideal chain J (x in J) or R
-(x a unit modulo J) and needs no span.
+other there, and the unit lifts to R; so the twin classes are exactly the
+orbits, at every level, and the orbit of x is the y in I = xR + J with
+yR + J = I. No product by a unit finds it: in each local factor, Nakayama's
+lemma on the cyclic module I/J (Atiyah-Macdonald, Cor. 2.7) says y generates
+it iff y lies outside mI + J, unless that is I. So the orbit is I less each
+K = J + mxR, m maximal, that is not I, and K is one span of the products gx
+for g generating m. ``LevelContext.trajectory`` builds one chain per orbit
+and hands that one object to every member; a non-vertex has the one-ideal
+chain J (x in J) or R (x a unit modulo J) and needs no span.
 """
 
 from __future__ import annotations
@@ -59,7 +63,8 @@ import threading
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional, Sequence, TypeVar, Union
 
-from .ideals import IdealSet, ideal_sum, nonunit_bits, set_bit_items, unit_ideal
+from .ideals import IdealSet, ideal_sum, ideal_sum_bits, maximal_generators, nonunit_bits
+from .ideals import set_bit_items, unit_ideal
 from .rings import Ring, descriptor_string
 
 COZERO = "cozero"
@@ -213,15 +218,13 @@ class LevelContext:
             powers.append(p)
             p = ring.mul(p, x)
         traj = PowerTrajectory(ideals=tuple(ideals), powers=tuple(powers))
-        # the chain is constant on the orbit Ux + J, a union of J-cosets, so
-        # an unmarked ux means an unmarked coset ux + J
-        members = list(J.members())
-        for u in set_bit_items(ring.unit_bits(), range(ring.size)):
-            y = ring.mul(u, x)
-            if y in self._traj:
-                continue
-            for j in members:
-                self._traj[ring.add(y, j)] = traj
+        # the orbit Ux + J is I = xR + J less each K = J + mxR, m maximal, that is not I
+        I, smaller = ideals[0].bits, 0
+        for gens in maximal_generators(ring):
+            K = ideal_sum_bits(J, [ring.mul(g, x) for g in gens])
+            if K != I:
+                smaller |= K
+        self._traj.update(dict.fromkeys(set_bit_items(I & ~smaller, range(ring.size)), traj))
         return traj
 
     # levels and adjacency ------------------------------------------------

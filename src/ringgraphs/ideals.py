@@ -164,12 +164,15 @@ def unit_ideal(ring: Ring) -> IdealSet:
     return _intern(ring, ring.full_bits)
 
 
+def ideal_sum_bits(J: IdealSet, values: Iterable[int]) -> int:
+    """Bits of the ideal J + <values>, not interned."""
+    vals = tuple(v for v in values if not J.contains(v))
+    return _span_bits(J.ring, vals, J.bits) if vals else J.bits
+
+
 def ideal_sum(J: IdealSet, values: Iterable[int]) -> IdealSet:
     """The ideal J + <values>, interned."""
-    vals = tuple(v for v in values if not J.contains(v))
-    if not vals:
-        return J
-    return _intern(J.ring, _span_bits(J.ring, vals, J.bits))
+    return _intern(J.ring, ideal_sum_bits(J, values))
 
 
 def principal_plus(x: int, n: int, J: IdealSet) -> IdealSet:
@@ -260,14 +263,47 @@ def _greedy_generators(ring: Ring, bits: int) -> list[int]:
     return gens
 
 
+def maximal_generators(ring: Ring) -> tuple[tuple[int, ...], ...]:
+    """A generating tuple for each maximal ideal, cached on the ring.
+
+    Z_n has (p) for each prime p of n, in increasing order; a product ring
+    has each factor's tuples in turn, lifted to 1 in the other components. A
+    finite ring is a product of local rings (Atiyah-Macdonald, Thm 8.7), so
+    a quotient ring of units and nilpotents has the one maximal ideal rad R;
+    otherwise each primitive idempotent e (neither unit nor nilpotent, and
+    above no other idempotent) gives the maximal ideal rad R + (1 - e)R.
+    """
+    if ring._maximal_generators is None:  # racing fills agree
+        desc = ring.descriptor
+        if isinstance(desc, ModularRing):
+            out = tuple((p % desc.modulus,) for p in prime_factorization(desc.modulus))
+        elif isinstance(desc, ProductRing):
+            ones = [f.one for f in ring.factor_rings]
+            out = tuple(
+                tuple(ring.encode((*ones[:i], g, *ones[i + 1 :])) for g in gens)
+                for i, f in enumerate(ring.factor_rings)
+                for gens in maximal_generators(f)
+            )
+        else:
+            nil = ring.nilpotent_bits()
+            radical = tuple(_greedy_generators(ring, nil))
+            rest = _indices(ring.full_bits & ~(ring.unit_bits() | nil))
+            idem = [x for x in rest if ring.mul(x, x) == x]
+            out = tuple(
+                radical + (ring.sub(ring.one, e),)
+                for e in idem
+                if not any(f != e and ring.mul(e, f) == f for f in idem)
+            ) or (radical or (ring.zero,),)
+        ring._maximal_generators = out
+    return ring._maximal_generators
+
+
 def maximal_ideals(ring: Ring) -> list[IdealSet]:
     """All maximal ideals, for modular rings and products of modular rings.
 
-    They come by factor, then by prime: for a prime p of factor i's modulus,
-    the ideal of the tuples whose component i is a multiple of p, spanned by
-    the tuple with p there and 1 in every other factor. Quotient rings are
-    not enumerated here; callers must supply candidate ideals and test
-    is_maximal directly.
+    They are the spans of ``maximal_generators``, by factor, then by prime.
+    Quotient rings are not enumerated here; callers must supply candidate
+    ideals and test is_maximal directly.
     """
     desc = ring.descriptor
     factors = desc.factors if isinstance(desc, ProductRing) else (desc,)
@@ -275,11 +311,4 @@ def maximal_ideals(ring: Ring) -> list[IdealSet]:
         raise UnsupportedRingFamily(
             "maximal ideals are enumerated only for modular rings and their products"
         )
-    out = []
-    for i, f in enumerate(factors):
-        for p in prime_factorization(f.modulus):
-            comps = [1] * len(factors)
-            comps[i] = p % f.modulus
-            element = ring.encode(comps) if isinstance(desc, ProductRing) else comps[0]
-            out.append(span(ring, (element,)))
-    return out
+    return [span(ring, gens) for gens in maximal_generators(ring)]

@@ -361,6 +361,7 @@ class Ring:
         self.size = size
         self.full_bits = (1 << size) - 1
         self._power_bits: Optional[tuple[int, int]] = None
+        self._maximal_generators: Optional[tuple] = None  # ideals.maximal_generators
         self._lock = threading.Lock()
         # interned ideals by bits: one object per ideal, so they compare by identity
         self.ideal_intern: dict[int, object] = {}

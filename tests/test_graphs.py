@@ -12,6 +12,7 @@ from oracles import (
     digit_add,
     naive_adjacent,
     naive_edges,
+    naive_units,
     naive_vertices,
     power_rho,
 )
@@ -36,6 +37,7 @@ from ringgraphs.ideals import (
     ideal_sum,
     is_maximal,
     jacobson_radical,
+    maximal_generators,
     maximal_ideals,
     principal_plus,
     span,
@@ -456,8 +458,9 @@ def test_levels_must_be_positive_ints_or_extended():
 
 
 def test_trajectory_spans_once_per_orbit(monkeypatch):
-    # one chain per orbit Ux + J costs len(chain) + 1 calls of ideal_sum, so a
-    # return to one span per vertex fails here, not only in the benchmark
+    # one chain per orbit Ux + J costs len(chain) + 1 calls of ideal_sum, and
+    # its members are read off one mask span per maximal ideal, so a return to
+    # one span per vertex fails here, not only in the benchmark
     ring = build_ring("Z2[x]/(x^7)")
     J = zero_ideal(ring)
     units = [u for u in ring.elements() if ring.is_unit(u)]
@@ -465,17 +468,96 @@ def test_trajectory_spans_once_per_orbit(monkeypatch):
         frozenset(ring.add(ring.mul(u, v), j) for u in units for j in J.members())
         for v in vertex_set(ring, J)
     }
-    budget = sum(len(power_trajectory(ring, J, min(o)).ideals) + 1 for o in orbits)
+    maxima = len(maximal_generators(ring))
+    budget = sum(len(power_trajectory(ring, J, min(o)).ideals) + 1 + maxima for o in orbits)
     calls = []
-    real = graphs.ideal_sum
 
-    def counting(J, values):
-        calls.append(values)
-        return real(J, values)
+    def counting(name):
+        real = getattr(graphs, name)
 
-    monkeypatch.setattr(graphs, "ideal_sum", counting)
+        def spans(J, values):
+            calls.append(values)
+            return real(J, values)
+
+        monkeypatch.setattr(graphs, name, spans)
+
+    counting("ideal_sum")
+    counting("ideal_sum_bits")
     assert LevelContext(ring, J).stabilization_bound() == 7
-    assert 0 < len(calls) <= budget == 26
+    assert 0 < len(calls) <= budget == 32
+
+
+@pytest.mark.parametrize(
+    "name, ideal, bound",
+    [
+        ("Z2[x]/(x^7)", "0", 7),
+        ("Z2310", "0", 1),
+        ("Z4xZ9xZ25", "0", 2),
+        ("Z6[x]/(x^2)", "0", 2),
+        ("Z2[x,y]/(x^3,y^2)", "y", 3),
+    ],
+)
+def test_trajectories_multiply_by_no_unit(monkeypatch, name, ideal, bound):
+    # the orbits come from the maximal ideals, not from walking U: once the
+    # ring's facts exist, no product has a unit operand other than 1
+    ring = build_ring(name)
+    J = span_from_labels(ring, ideal)
+    units = ring.unit_bits() & ~(1 << ring.one)
+    maximal_generators(ring)
+    ctx = LevelContext(ring, J)
+    ctx.vertex_bits()
+    by_unit = []
+    real = ring.mul
+
+    def counting(a, b):
+        if (units >> a | units >> b) & 1:
+            by_unit.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(ring, "mul", counting)
+    assert ctx.stabilization_bound() == bound
+    assert by_unit == []
+
+
+# orbit referee rings: the acceptance oracle rings, the non-local rings, a
+# field and quotient rings with two or four local factors, where some
+# idempotents are not primitive
+ORBIT_RINGS = list(
+    dict.fromkeys(
+        ORACLE_RINGS
+        + NONLOCAL_RINGS
+        + ["Z2[t]/(t^3+t)", "Z2[x,y]/(x^2,y^2+y)", "Z3[t]/(t^2+1)", "Z6[t]/(t^2+t)"]
+    )
+)
+
+
+def _twin_groups(ctx, order):
+    groups = {}
+    for v in order:
+        groups.setdefault(id(ctx.trajectory(v)), set()).add(v)
+    return {frozenset(g) for g in groups.values()}
+
+
+@pytest.mark.parametrize("name", ORBIT_RINGS)
+def test_trajectory_groups_are_the_unit_orbits(name):
+    # vertices sharing one trajectory object are exactly the orbits uv + J,
+    # whichever member of an orbit is asked for first
+    ring = build_ring(name)
+    units = naive_units(ring)
+    seen = set()
+    for g in range(ring.size):
+        J = span(ring, (g,))
+        if J.bits in seen:
+            continue
+        seen.add(J.bits)
+        members = list(J.members())
+        verts = vertex_set(ring, J)
+        orbits = {
+            frozenset(digit_add(ring, ring.mul(u, v), j) for u in units for j in members)
+            for v in verts
+        }
+        assert _twin_groups(LevelContext(ring, J), verts) == orbits, (name, g)
+        assert _twin_groups(LevelContext(ring, J), verts[::-1]) == orbits, (name, g)
 
 
 def test_vertex_set_nonempty_iff_proper_non_maximal():

@@ -13,6 +13,7 @@ from oracles import (
     naive_is_semiprime,
     naive_nilpotents,
     naive_units,
+    naive_vertices,
 )
 from ringgraphs.ideals import (
     UnsupportedRingFamily,
@@ -21,6 +22,7 @@ from ringgraphs.ideals import (
     is_prime,
     is_semiprime,
     jacobson_radical,
+    maximal_generators,
     maximal_ideals,
     principal_plus,
     span,
@@ -28,6 +30,7 @@ from ringgraphs.ideals import (
     zero_ideal,
 )
 from ringgraphs.rings import build_ring
+from test_graphs import ORBIT_RINGS
 from test_rings import PRODUCT_RINGS
 
 ORACLE_RINGS = [
@@ -240,6 +243,35 @@ def test_maximal_ideals_pass_is_maximal_and_radical_intersection(name):
         assert is_maximal(m)
         bits &= m.bits
     assert bits == jacobson_radical(ring).bits
+
+
+@pytest.mark.parametrize("name", ORBIT_RINGS)
+def test_maximal_generators_span_every_maximal_ideal(name):
+    # each tuple spans a proper ideal with a field quotient (no vertex over
+    # it), no two span the same ideal, and by prime avoidance their union
+    # being every non-unit means no maximal ideal is missing
+    ring = build_ring(name)
+    spans = [closure_span(ring, gens) for gens in maximal_generators(ring)]
+    for gens, members in zip(maximal_generators(ring), spans):
+        assert members == set(span(ring, gens).members()), (name, gens)
+        assert len(members) < ring.size, (name, gens)
+        assert naive_vertices(ring, members, "cozero") == [], (name, gens)
+    assert len({frozenset(m) for m in spans}) == len(spans)
+    assert set().union(*spans) == set(ring.elements()) - naive_units(ring)
+
+
+@pytest.mark.parametrize(
+    "name, count",
+    [
+        ("Z6[x]/(x^2)", 2),
+        ("Z2[t]/(t^2+t)", 2),
+        ("Z4[x]/(x^2)", 1),
+        ("Z3[t]/(t^2+1)", 1),
+        ("Z6[t]/(t^2+t)", 4),
+    ],
+)
+def test_maximal_ideal_count_of_quotient_rings(name, count):
+    assert len(maximal_generators(build_ring(name))) == count
 
 
 @pytest.mark.parametrize("name", ORACLE_RINGS)
