@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import analysis
@@ -30,7 +31,7 @@ from .analysis import (
     is_empty_graph,
     zpnq_parts,
 )
-from .conilpotency import conilpotency_record, ring_conilpotency_index
+from .conilpotency import conilpotency_maximum, conilpotency_record, ring_conilpotency_index
 from .graphs import (
     COZERO,
     EXTENDED,
@@ -116,13 +117,13 @@ class ClaimReport:
 
 
 class _Resolved:
-    """Lazy per-instance handles onto the shared ring/ideal/graph caches."""
+    """One instance with its ring, its ideal J and their shared level context."""
 
-    def __init__(self, inst: ClaimInstance):
+    def __init__(self, inst: ClaimInstance, ring: Ring, J: IdealSet):
         self.instance = inst
-        self.ring: Ring = build_ring(inst.ring)
-        self.J: IdealSet = span_from_labels(self.ring, inst.ideal)
-        self.ctx = level_context(self.ring, self.J)
+        self.ring = ring
+        self.J = J
+        self.ctx = level_context(ring, J)
 
     def level(self, i) -> int:
         return self.ctx.level(EXTENDED if i == "ext" else i)
@@ -273,17 +274,11 @@ def _run_tripartite(r: _Resolved):
 def _run_xi_parity(r: _Resolved):
     if not analysis.graph_equals(r.graph(1), r.graph(2)):
         return VACUOUS, None, "levels 1 and 2 differ"
-    xi = ring_conilpotency_index(r.ring, r.J)
+    xi, x = conilpotency_maximum(r.ring, r.J)
     if xi is None:
         return VERIFIED, None, "no conilpotent element; index undefined"
     if xi % 2 == 1:
         return VERIFIED, None, f"ring index {xi} is odd"
-    # xi is the max of the records' indices, so some element attains it
-    x = next(
-        x
-        for x in range(r.ring.size)
-        if conilpotency_record(r.ring, r.J, x).index == xi
-    )
     witness = {"kind": "element", "x": r.ring.label(x), "n": xi}
     return REFUTED, witness, f"ring index {xi} is even"
 
@@ -308,15 +303,17 @@ def _stable_power(ring: Ring, x: int) -> Optional[tuple[int, int]]:
     return None
 
 
-def _stable_cases(ring: Ring) -> list[tuple[int, int, int]]:
+def _stable_cases(ring: Ring) -> tuple[tuple[int, int, int], ...]:
     """(x, n, x^n) for each non-unit x outside the radical with a stable power x^n."""
-    cases = []
-    others = ring.full_bits & ~(ring.unit_bits() | ring.nilpotent_bits())
-    for x in set_bit_items(others, range(ring.size)):
-        stable = _stable_power(ring, x)
-        if stable is not None:
-            cases.append((x, *stable))
-    return cases
+    if ring._stable_cases is None:  # racing fills agree
+        cases = []
+        others = ring.full_bits & ~(ring.unit_bits() | ring.nilpotent_bits())
+        for x in set_bit_items(others, range(ring.size)):
+            stable = _stable_power(ring, x)
+            if stable is not None:
+                cases.append((x, *stable))
+        ring._stable_cases = tuple(cases)
+    return ring._stable_cases
 
 
 def _run_conilpotent_elements(r: _Resolved):
@@ -585,19 +582,28 @@ CATALOG: dict[str, ClaimDef] = {
 CLAIM_ORDER = list(CATALOG)
 
 
-def run_claim(instance: ClaimInstance) -> ClaimReport:
-    """Evaluate one claim instance; outside the standing assumption it is VACUOUS."""
+def _evaluate(instance: ClaimInstance, pairs: dict) -> ClaimReport:
+    """Evaluate one instance; ``pairs`` maps (ring, ideal) names to those that resolved."""
     start = time.perf_counter()
     claim = CATALOG.get(instance.claim)
     if claim is None:
         raise ValueError(f"unknown claim id {instance.claim!r}")
-    resolved = _Resolved(instance)
+    key = (instance.ring, instance.ideal)
+    if key not in pairs:
+        ring = build_ring(instance.ring)
+        pairs[key] = ring, span_from_labels(ring, instance.ideal)
+    resolved = _Resolved(instance, *pairs[key])
     if _standing_ok(resolved):
         status, witness, detail = claim.runner(resolved)
     else:
         status, witness, detail = VACUOUS, None, "ideal is maximal or improper"
     elapsed = time.perf_counter() - start
     return ClaimReport(instance, status, witness, detail, elapsed)
+
+
+def run_claim(instance: ClaimInstance) -> ClaimReport:
+    """Evaluate one claim instance; outside the standing assumption it is VACUOUS."""
+    return _evaluate(instance, {})
 
 
 @dataclass
@@ -621,12 +627,15 @@ def _is_mismatch(report: ClaimReport) -> bool:
 
 
 def run_suite(instances: list[ClaimInstance], workers: Optional[int] = None) -> SuiteResult:
-    """Run all instances in order.
+    """Run all instances in order, as ``run_claim`` would one at a time.
 
+    Each distinct (ring, ideal) pair is resolved once, at the first instance
+    naming it, whose ``elapsed`` includes that; a malformed name raises there.
     ``workers`` is accepted for compatibility and ignored: the runners are
     bound by the interpreter lock, so threads would not speed them up.
     """
-    reports = [run_claim(inst) for inst in instances]
+    pairs: dict[tuple[str, str], tuple[Ring, IdealSet]] = {}
+    reports = [_evaluate(inst, pairs) for inst in instances]
     summary: dict[str, dict[str, int]] = {}
     for rep in reports:
         per = summary.setdefault(rep.instance.claim, {})
@@ -635,13 +644,38 @@ def run_suite(instances: list[ClaimInstance], workers: Optional[int] = None) -> 
     return SuiteResult(reports, summary, mismatches)
 
 
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for string-keyed dicts, byte for byte.
+
+    ``json.dumps`` runs its pure-Python encoder whenever ``indent`` is set;
+    this one pass hands only bools and floats (and unknown types) to it.
+    """
+    if type(value) is str:
+        return _json_str(value)
+    if value is None:
+        return "null"
+    if type(value) is int:
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        items, brackets = [_json_text(item, inner) for item in value], "[]"
+    elif isinstance(value, dict):
+        items = [_json_str(k) + ": " + _json_text(value[k], inner) for k in sorted(value)]
+        brackets = "{}"
+    else:
+        return json.dumps(value)
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
+
+
 def suite_to_json(result: SuiteResult) -> str:
     obj = {
         "reports": [rep.as_dict() for rep in result.reports],
         "summary": result.summary,
         "mismatches": len(result.mismatches),
     }
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return _json_text(obj) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -48,11 +48,17 @@ def conilpotency_record(ring: Ring, J: IdealSet, x: int) -> ConilpotencyRecord:
     return ConilpotencyRecord(x, False, None, bound)
 
 
-def ring_conilpotency_index(ring: Ring, J: IdealSet) -> Optional[int]:
-    """Max index over conilpotent elements; None when no element qualifies."""
+def conilpotency_maximum(ring: Ring, J: IdealSet) -> tuple[Optional[int], Optional[int]]:
+    """The ring's index and the first element attaining it; (None, None) if none qualifies."""
     best: Optional[int] = None
+    first = None
     for x in range(ring.size):
         rec = conilpotency_record(ring, J, x)
         if rec.is_conilpotent and (best is None or rec.index > best):
-            best = rec.index
-    return best
+            best, first = rec.index, x
+    return best, first
+
+
+def ring_conilpotency_index(ring: Ring, J: IdealSet) -> Optional[int]:
+    """Max index over conilpotent elements; None when no element qualifies."""
+    return conilpotency_maximum(ring, J)[0]

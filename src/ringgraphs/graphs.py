@@ -180,6 +180,7 @@ class LevelContext:
         self._traj: dict[int, PowerTrajectory] = {}
         self._vertex_bits: Optional[int] = None
         self._vertices: Optional[tuple[int, ...]] = None
+        self._classes: Optional[tuple] = None
         self._graphs: dict[tuple[int, str], GraphLevel] = {}
 
     # vertex sets ---------------------------------------------------------
@@ -226,6 +227,24 @@ class LevelContext:
                 smaller |= K
         self._traj.update(dict.fromkeys(set_bit_items(I & ~smaller, range(ring.size)), traj))
         return traj
+
+    def classes(self) -> tuple[tuple[int, ...], tuple[PowerTrajectory, ...], tuple[int, ...]]:
+        """Each vertex's twin class (orbit), each class's trajectory and member mask."""
+        if self._classes is None:  # fixed by (ring, J), so racing fills agree
+            index: dict[int, int] = {}  # class per trajectory object, by first member
+            trajs: list[PowerTrajectory] = []
+            class_of = []
+            for v in self.vertices():
+                t = self.trajectory(v)
+                c = index.setdefault(id(t), len(index))
+                if c == len(trajs):
+                    trajs.append(t)
+                class_of.append(c)
+            members = [0] * len(trajs)
+            for k, c in enumerate(class_of):
+                members[c] |= 1 << k
+            self._classes = tuple(class_of), tuple(trajs), tuple(members)
+        return self._classes
 
     # levels and adjacency ------------------------------------------------
 
@@ -320,21 +339,8 @@ def adjacent(ring: Ring, J: IdealSet, x: int, y: int, i: Level, kind: str = COZE
 
 def _level_rows(ctx: LevelContext, lvl: int, kind: str) -> Iterator[int]:
     """The adjacency rows of one level, each twin class pair decided once."""
-    # twin classes are the orbits, each sharing one trajectory object:
-    # class index per object, each class's trajectory and member mask
-    classes: dict[int, int] = {}
-    trajs: list[PowerTrajectory] = []
-    class_of = []
-    for v in ctx.vertices():
-        t = ctx.trajectory(v)
-        c = classes.setdefault(id(t), len(classes))
-        if c == len(trajs):
-            trajs.append(t)
-        class_of.append(c)
-    members = [0] * len(classes)
-    for k, c in enumerate(class_of):
-        members[c] |= 1 << k
-    neighbours = [0] * len(classes)
+    class_of, trajs, members = ctx.classes()
+    neighbours = [0] * len(trajs)
     for a, ta in enumerate(trajs):
         for b in range(a, len(trajs)):
             if ctx.related(kind, ta, trajs[b], lvl):

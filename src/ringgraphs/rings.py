@@ -362,6 +362,7 @@ class Ring:
         self.full_bits = (1 << size) - 1
         self._power_bits: Optional[tuple[int, int]] = None
         self._maximal_generators: Optional[tuple] = None  # ideals.maximal_generators
+        self._stable_cases: Optional[tuple] = None  # claims._stable_cases
         self._lock = threading.Lock()
         # interned ideals by bits: one object per ideal, so they compare by identity
         self.ideal_intern: dict[int, object] = {}

@@ -4,6 +4,7 @@ import copy
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -12,6 +13,8 @@ from pathlib import Path
 import pytest
 
 import ringgraphs
+from ringgraphs import claims
+from ringgraphs.cli import main
 from oracles import coset_set, naive_nilpotents, naive_units, naive_vertices
 from test_acceptance import ORACLE_RINGS
 from ringgraphs.claims import (
@@ -23,6 +26,7 @@ from ringgraphs.claims import (
     VERIFIED,
     ClaimInstance,
     ClaimReport,
+    SuiteResult,
     check_bipartite_iff,
     default_grid,
     dump_grid,
@@ -44,7 +48,7 @@ from ringgraphs.ideals import (
     span_from_labels,
     zero_ideal,
 )
-from ringgraphs.rings import build_ring
+from ringgraphs.rings import ParseError, build_ring
 
 
 def inst(claim, ring, ideal="0", expected=None, **params):
@@ -517,3 +521,116 @@ def test_suite_json_has_no_timings():
 def test_unknown_claim_rejected():
     with pytest.raises(ValueError):
         run_claim(inst("C-NOPE", "Z12"))
+
+
+def _standard_json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _suite_object(result) -> dict:
+    return {
+        "reports": [rep.as_dict() for rep in result.reports],
+        "summary": result.summary,
+        "mismatches": len(result.mismatches),
+    }
+
+
+def test_suite_json_matches_the_standard_encoder_on_the_default_grid():
+    result = run_suite(default_grid())
+    assert suite_to_json(result) == _standard_json(_suite_object(result))
+
+
+# one witness of every kind the runners emit, and values no report holds today
+HAND_BUILT_WITNESSES = [
+    None,
+    {"kind": "edge", "graph": "cozero", "level": 2, "x": "2", "y": "3", "absent_at_level": 1},
+    {"kind": "non_edge", "graph": "zero", "level": 1, "x": "x", "y": "x+1"},
+    {"kind": "partition_pair", "graph": "cozero", "level": 2, "x": "2", "y": "4",
+     "reason": "edge inside a part", "parts": [["2", "4"], [], ["3"]],
+     "direction": "ordered ideals but not complete bipartite"},
+    {"kind": "complete_graph", "graph": "zero", "level": 1, "vertices": ["(0,1)", "(1,0)"]},
+    {"kind": "partition", "graph": "cozero", "level": 2, "parts": [["2"], ["3", "9"]]},
+    {"kind": "graphs_equal", "graph": "cozero", "levels": (1, 2)},
+    {"kind": "arity", "arity": 2, "parts": [["6"], ["2", "10"]]},
+    {"kind": "element", "x": "3", "n": 2},
+    {"kind": "element", "x": "x+y", "n": 1, "condition": "x^n equals 1-x", "pair": ["1", "1"]},
+    {"kind": "element", "x": "5", "n": -3, "flags": [True, False, None], "ratio": 0.25,
+     "scale": 1e-300, "huge": 10**40, "nested": {"b": {}, "a": (), "c": [[]]}},
+]
+
+
+def test_suite_json_matches_the_standard_encoder_on_hand_built_reports():
+    reports = [
+        ClaimReport(
+            ClaimInstance("C-EMPTY", "Z27", params=(("i", 4),), expected=VERIFIED),
+            VERIFIED, HAND_BUILT_WITNESSES[0], "|V|=8, no edges",
+        ),
+        ClaimReport(ClaimInstance("C-FILT", "Z4[x]/(x^2)", "2,x"), VACUOUS, None, ""),
+        ClaimReport(
+            ClaimInstance("C-XI", "Z2xZ2", expected=None), REFUTED, HAND_BUILT_WITNESSES[8],
+            "non-ASCII: x \u2208 J \u2014 \u00fc\U0001d53d \"quoted\" \\ tab\t",
+        ),
+    ]
+    for k, witness in enumerate(HAND_BUILT_WITNESSES):
+        instance = ClaimInstance("C-BIP", "Z6", params=(("i", k + 1), ("p", "ext")))
+        reports.append(ClaimReport(instance, REFUTED, witness, f"case {k}"))
+    summary = {"C-BIP": {REFUTED: len(HAND_BUILT_WITNESSES)}, "C-EMPTY": {VERIFIED: 1}}
+    for result in (
+        SuiteResult(reports, summary, reports[:2]),
+        SuiteResult([], {}),
+        SuiteResult(reports[1:2], {"C-FILT": {}}),
+    ):
+        assert suite_to_json(result) == _standard_json(_suite_object(result))
+
+
+def _spy(monkeypatch, name, calls):
+    real = getattr(claims, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(claims, name, spy)
+
+
+def test_run_suite_resolves_each_ring_and_ideal_once(monkeypatch):
+    grid = default_grid()
+    random.Random(20).shuffle(grid)
+    per_instance = [run_claim(i).as_dict() for i in grid]
+    built, spanned = [], []
+    _spy(monkeypatch, "build_ring", built)
+    _spy(monkeypatch, "span_from_labels", spanned)
+    result = run_suite(grid)
+    pairs = {(i.ring, i.ideal) for i in grid}
+    resolved = {(name, label) for (name,), (_, label) in zip(built, spanned)}
+    assert len(built) == len(spanned) == len(pairs) < len(grid)
+    assert resolved == pairs
+    assert [rep.as_dict() for rep in result.reports] == per_instance
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        ({"ring": "Z12["}, ParseError),
+        ({"ideal": "2,y"}, ParseError),
+        ({"claim": "C-NOPE"}, ValueError),
+    ],
+    ids=["ring", "ideal", "claim"],
+)
+def test_malformed_second_instance_raises_at_that_instance(
+    monkeypatch, tmp_path, capsys, bad, error
+):
+    first = inst("C-EMPTY", "Z27", i=4)
+    second = ClaimInstance(**{"claim": "C-FILT", "ring": "Z12", "ideal": "0", **bad})
+    evaluated, built = [], []
+    _spy(monkeypatch, "_evaluate", evaluated)
+    _spy(monkeypatch, "build_ring", built)
+    with pytest.raises(error):
+        run_suite([first, second, first])
+    assert [instance for instance, _ in evaluated] == [first, second]
+    # an unknown claim id raises before its ring is resolved
+    assert [name for (name,) in built] == ["Z27"] + ([] if "claim" in bad else [second.ring])
+    path = tmp_path / "grid.json"
+    path.write_text(dump_grid([first, second]), encoding="utf-8")
+    assert main(["verify", "--grid", str(path)]) == 2
+    assert "error" in capsys.readouterr().err

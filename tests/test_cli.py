@@ -1,8 +1,15 @@
 """Command-line surface: verbs, formats, exit codes, determinism."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import ringgraphs
 
 from ringgraphs.analysis import graph_equals
 from ringgraphs.cli import main
@@ -317,3 +324,15 @@ def test_exit_code_on_non_integer_level(capsys):
     code, _, err = run_cli(capsys, "build", "--ring", "Z12", "--i", "two")
     assert code == 2
     assert "error" in err
+
+
+def test_python_dash_m_runs_verify_from_a_checkout():
+    path = [str(Path(ringgraphs.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run(
+        [sys.executable, "-m", "ringgraphs", "verify", "--grid", "default", "--format", "json"],
+        env=env, capture_output=True,
+    )
+    assert done.returncode == 0, done.stderr
+    pins = json.loads((Path(__file__).parents[1] / "perfbench" / "pins.json").read_text())
+    assert hashlib.sha256(done.stdout).hexdigest() == pins["verify-grid"]["report_sha256"]

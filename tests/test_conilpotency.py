@@ -4,7 +4,11 @@ import pytest
 
 from oracles import brute_conilpotency_index, coset_set, power_rho
 from ringgraphs.claims import GRID_RINGS, _stable_power
-from ringgraphs.conilpotency import conilpotency_record, ring_conilpotency_index
+from ringgraphs.conilpotency import (
+    conilpotency_maximum,
+    conilpotency_record,
+    ring_conilpotency_index,
+)
 from ringgraphs.graphs import build_level, power_trajectory, stabilization_bound, vertex_set
 from ringgraphs.ideals import jacobson_radical, span_from_labels, zero_ideal
 from ringgraphs.rings import build_ring
@@ -49,14 +53,32 @@ def test_matches_brute_force_zero_ideal(name):
     )
 
 
+NONZERO_IDEAL_CASES = [
+    ("Z12", "6"), ("Z12", "4"), ("Z4[x]/(x^2)", "2"), ("Z6[x]/(x^2)", "3"), ("Z6[x]/(x^2)", "x")
+]
+
+
 def test_matches_brute_force_nonzero_ideal():
-    cases = [("Z12", "6"), ("Z12", "4"), ("Z4[x]/(x^2)", "2"), ("Z6[x]/(x^2)", "3"), ("Z6[x]/(x^2)", "x")]
-    for name, label in cases:
+    for name, label in NONZERO_IDEAL_CASES:
         ring = build_ring(name)
         J = span_from_labels(ring, label)
         assert ring_conilpotency_index(ring, J) == brute_conilpotency_index(
             ring, set(J.members())
         )
+
+
+@pytest.mark.parametrize(
+    "name, label", [(name, "0") for name in BRUTE_CASES] + NONZERO_IDEAL_CASES
+)
+def test_maximum_reads_the_index_and_its_first_element_from_one_scan(name, label):
+    ring = build_ring(name)
+    J = span_from_labels(ring, label)
+    xi, x = conilpotency_maximum(ring, J)
+    assert xi == ring_conilpotency_index(ring, J) == brute_conilpotency_index(
+        ring, set(J.members())
+    )
+    indices = [conilpotency_record(ring, J, y).index for y in ring.elements()]
+    assert x == (None if xi is None else indices.index(xi))
 
 
 @pytest.mark.parametrize("name", BRUTE_CASES)

@@ -541,7 +541,8 @@ def _twin_groups(ctx, order):
 @pytest.mark.parametrize("name", ORBIT_RINGS)
 def test_trajectory_groups_are_the_unit_orbits(name):
     # vertices sharing one trajectory object are exactly the orbits uv + J,
-    # whichever member of an orbit is asked for first
+    # whichever member of an orbit is asked for first; the context's classes,
+    # numbered by first member in vertex order, are those groups
     ring = build_ring(name)
     units = naive_units(ring)
     seen = set()
@@ -558,6 +559,34 @@ def test_trajectory_groups_are_the_unit_orbits(name):
         }
         assert _twin_groups(LevelContext(ring, J), verts) == orbits, (name, g)
         assert _twin_groups(LevelContext(ring, J), verts[::-1]) == orbits, (name, g)
+        ctx = LevelContext(ring, J)
+        class_of, trajs, members = ctx.classes()
+        assert ctx.classes() is ctx.classes()
+        firsts = [class_of.index(c) for c in range(len(trajs))]
+        assert firsts == sorted(firsts) and len(class_of) == len(verts)
+        assert all(ctx.trajectory(v) is trajs[c] for v, c in zip(verts, class_of))
+        groups = {frozenset(v for k, v in enumerate(verts) if mask >> k & 1) for mask in members}
+        assert groups == orbits, (name, g)
+
+
+def test_sharp_index_groups_the_vertices_once(monkeypatch):
+    # each lower level reads the context's classes instead of regrouping
+    ring, J = zero_of("Z2[x]/(x^9)")
+    monkeypatch.setitem(graphs._CONTEXTS, (id(ring), J.bits), LevelContext(ring, J))
+    n = len(vertex_set(ring, J))
+    assert stabilization_bound(ring, J) == 9
+    calls = []
+    trajectory = LevelContext.trajectory
+
+    def counting(self, x):
+        calls.append(x)
+        return trajectory(self, x)
+
+    monkeypatch.setattr(LevelContext, "trajectory", counting)
+    assert minimal_stabilization_index(ring, J) == 1
+    # the bound reads each vertex's chain once and the classes once more,
+    # however many of the nine levels are compared with the limit
+    assert len(calls) == 2 * n
 
 
 def test_vertex_set_nonempty_iff_proper_non_maximal():
