@@ -17,7 +17,7 @@ import sys
 from typing import Optional
 
 from . import analysis, claims, export
-from .conilpotency import conilpotency_record, ring_conilpotency_index
+from .conilpotency import conilpotency_record
 from .graphs import COZERO, EXTENDED, ZERO, build_level, minimal_stabilization_index, stabilization_bound
 from .ideals import jacobson_radical, span_from_labels
 from .rings import ParseError, RingError, build_ring, descriptor_string
@@ -207,7 +207,7 @@ def _cmd_xi(args) -> int:
     ring = build_ring(args.ring)
     J = span_from_labels(ring, args.ideal)
     records = [conilpotency_record(ring, J, x) for x in range(ring.size)]
-    xi = ring_conilpotency_index(ring, J)
+    xi = max((rec.index for rec in records if rec.is_conilpotent), default=None)
     if args.format == "json":
         payload = {
             "ring": descriptor_string(ring.descriptor),

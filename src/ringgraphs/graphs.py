@@ -11,10 +11,9 @@ Two kinds are built over the same machinery:
 
 Both kinds have the same vertex set: in the finite ring R/J multiplication
 by x is injective exactly when it is bijective, so a nonzero class is a
-zero-divisor exactly when it is not a unit. That set needs no span: a finite
-ring is semilocal, so units lift modulo J (Bass, 1964), the units of R/J are
-the cosets u + J of the units u of R, and the vertex set is the complement of
-J together with U + J (``ideals.nonunit_bits``).
+zero-divisor exactly when it is not a unit. So x is a vertex when xR + J is
+proper, that is, when x lies in a maximal ideal above J: the vertex set is
+their union less J, and needs no span of its own (``ideals.nonunit_bits``).
 
 Membership of any element in any ideal depends only on the ideal the element
 generates, so both adjacency tests factor through the interned ideals

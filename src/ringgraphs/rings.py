@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import re
 import threading
 from dataclasses import dataclass
@@ -336,6 +337,37 @@ def prime_factorization(n: int) -> dict[int, int]:
     return out
 
 
+def _divide_monic(f: list[int], g: tuple[int, ...], p: int) -> Optional[list[int]]:
+    """f / g over F_p for a monic g, or None when g does not divide f."""
+    rest, quotient = list(f), []
+    while len(rest) >= len(g):
+        c = rest.pop()
+        for k in range(1, len(g)):
+            rest[-k] = (rest[-k] - c * g[-1 - k]) % p
+        quotient.insert(0, c)
+    return None if any(rest) else quotient
+
+
+def monic_irreducible_factors(coeffs: tuple[int, ...], p: int) -> list[tuple[int, ...]]:
+    """The distinct monic irreducible factors of monic f over F_p; coefficients ascend.
+
+    Trial division by the monic g of rising degree, each divided out while
+    it goes, so g has no factor of lower degree and is irreducible; what is
+    left once the degree passes half its own is 1 or irreducible.
+    """
+    f, factors = [c % p for c in coeffs], {}
+    degree = 1
+    while 2 * degree < len(f):
+        for tail in itertools.product(range(p), repeat=degree):
+            while (q := _divide_monic(f, (*tail, 1), p)) is not None:
+                factors[(*tail, 1)] = None
+                f = q
+        degree += 1
+    if len(f) > 1:
+        factors[tuple(f)] = None
+    return list(factors)
+
+
 # ---------------------------------------------------------------------------
 # Ring runtime
 # ---------------------------------------------------------------------------
@@ -347,8 +379,8 @@ class Ring:
     structure and ``pow`` from ``mul``. Quotient-ring ``add`` and ``neg``
     read two packed-digit tables, an immutable index <-> packed bijection
     built once, on first use. So arithmetic is safe to call from multiple
-    threads. The unit and nilpotent bitsets come from one power walk, run
-    once under the ring's lock, which also guards the ideal intern table.
+    threads. Units and nilpotents are read off the maximal ideals' bitsets,
+    and the ring's lock guards the ideal intern table.
     """
 
     descriptor: RingDescriptor
@@ -360,7 +392,6 @@ class Ring:
         self.descriptor = descriptor
         self.size = size
         self.full_bits = (1 << size) - 1
-        self._power_bits: Optional[tuple[int, int]] = None
         self._maximal_generators: Optional[tuple] = None  # ideals.maximal_generators
         self._stable_cases: Optional[tuple] = None  # claims._stable_cases
         self._lock = threading.Lock()
@@ -387,37 +418,6 @@ class Ring:
     def parse_label(self, text: str) -> int:
         raise NotImplementedError
 
-    def _compute_power_bits(self) -> tuple[int, int]:
-        """The unit and nilpotent bits, from one walk over the powers.
-
-        x^j is a unit, or nilpotent, exactly when x is, so all powers on one
-        walk share a verdict. A walk stops at a settled element (1 is a unit
-        and 0 nilpotent from the start), whose verdict it takes, or at a
-        repeat, which closes a cycle through neither 0 nor 1: a unit's powers
-        reach 1, and a nilpotent's reach 0, before any repeat. Each product
-        settles an element, so the scan costs about |R| products.
-        """
-        UNIT, NILPOTENT, OTHER, ON_WALK = 1, 2, 3, 4
-        status = bytearray(self.size)
-        status[self.one] = UNIT
-        status[self.zero] = NILPOTENT
-        for x in range(self.size):
-            walk = []
-            p = x
-            while not status[p]:
-                status[p] = ON_WALK
-                walk.append(p)
-                p = self.mul(p, x)
-            verdict = OTHER if status[p] == ON_WALK else status[p]
-            for q in walk:
-                status[q] = verdict
-
-        def bits(verdict):
-            digits = bytes(b"01"[v == verdict] for v in range(256))
-            return int(status.translate(digits)[::-1], 2)
-
-        return bits(UNIT), bits(NILPOTENT)
-
     # shared operations ----------------------------------------------------------
 
     def sub(self, a: int, b: int) -> int:
@@ -437,18 +437,20 @@ class Ring:
                 p = self.mul(p, x)
         return p
 
-    def _unit_and_nilpotent_bits(self) -> tuple[int, int]:
-        if self._power_bits is None:
-            with self._lock:
-                if self._power_bits is None:
-                    self._power_bits = self._compute_power_bits()
-        return self._power_bits
+    @functools.cached_property
+    def maximal_bits(self) -> tuple[int, ...]:
+        """Each maximal ideal's bits, spanned once from ``ideals.maximal_generators``."""
+        from .ideals import _span_bits, maximal_generators
+
+        return tuple(_span_bits(self, gens, 1) for gens in maximal_generators(self))
 
     def unit_bits(self) -> int:
-        return self._unit_and_nilpotent_bits()[0]
+        """The elements outside every maximal ideal."""
+        return self.full_bits & ~functools.reduce(operator.or_, self.maximal_bits)
 
     def nilpotent_bits(self) -> int:
-        return self._unit_and_nilpotent_bits()[1]
+        """The radical: the elements of every maximal ideal (Atiyah-Macdonald, Ch. 8)."""
+        return functools.reduce(operator.and_, self.maximal_bits)
 
     def is_unit(self, x: int) -> bool:
         return bool(self.unit_bits() >> x & 1)
@@ -539,13 +541,6 @@ class _ProductRingOps(Ring):
                     layer |= bits << (c * w)
             bits = layer
         return bits
-
-    def _compute_power_bits(self):
-        """A tuple is a unit, or nilpotent, exactly when each component is."""
-        return (
-            self.lift_bits([f.unit_bits() for f in self.factor_rings]),
-            self.lift_bits([f.nilpotent_bits() for f in self.factor_rings]),
-        )
 
     def label(self, a):
         comps = self.decode(a)

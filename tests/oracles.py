@@ -87,13 +87,20 @@ def coset_set(ring, j_members, value):
     return {digit_add(ring, a, j) for a in multiples for j in j_members}
 
 
+@functools.lru_cache(maxsize=2)
+def _multiples(ring):
+    """The set xR for each x, by multiplying out; kept for the last two rings."""
+    return [frozenset(ring.mul(x, r) for r in range(ring.size)) for x in range(ring.size)]
+
+
 def naive_vertices(ring, j_members, kind):
     out = []
     if kind == "cozero":
+        # 1 = xr + j with j in J exactly when xR meets the set 1 - J
+        one_minus_j = {digit_add(ring, ring.one, digit_neg(ring, j)) for j in j_members}
+        multiples = _multiples(ring)
         for x in range(ring.size):
-            if x in j_members:
-                continue
-            if ring.one not in coset_set(ring, j_members, x):
+            if x not in j_members and not multiples[x] & one_minus_j:
                 out.append(x)
     else:
         outside = [y for y in range(ring.size) if y not in j_members]
@@ -132,6 +139,43 @@ def naive_units(ring):
                     units |= {x, y}
                     break
     return units
+
+
+def _poly_times(a, b, p):
+    """The product of two coefficient tuples (ascending) over F_p."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return tuple(out)
+
+
+def _monics(p, degree):
+    return [(*tail, 1) for tail in itertools.product(range(p), repeat=degree)]
+
+
+def naive_monic_factors(coeffs, p):
+    """The distinct monic irreducible factors of a monic f over F_p.
+
+    g is irreducible when no product of two monic polynomials of positive
+    degree is g, and it divides f when g*h = f for some monic h: every
+    product is multiplied out, nothing is divided.
+    """
+    f = tuple(c % p for c in coeffs)
+    n = len(f) - 1
+    reducible = {
+        _poly_times(a, b, p)
+        for d in range(1, n)
+        for e in range(1, n - d + 1)
+        for a in _monics(p, d)
+        for b in _monics(p, e)
+    }
+    return {
+        g
+        for d in range(1, n + 1)
+        for g in _monics(p, d)
+        if g not in reducible and any(_poly_times(g, h, p) == f for h in _monics(p, n - d))
+    }
 
 
 def naive_nilpotents(ring):

@@ -263,11 +263,17 @@ def test_oracle_equivalence_nonzero_ideal():
                 assert set(g.edges()) == naive_edges(z12, j_members, i, kind)
 
 
+# quotient rings whose modulus splits mod p, into distinct, repeated or
+# higher-degree factors
+SPLIT_MODULUS_RINGS = [
+    "Z3[t]/(t^4+2)", "Z10[t]/(t^2+1)", "Z12[t]/(t^2+t)",
+    "Z2[t]/(t^3+1)", "Z2[t]/(t^4+1)", "Z2[x,t]/(x^2,t^3+1)",
+]
 # rings that are not local, where R/J can have several maximal ideals
 NONLOCAL_RINGS = ["Z6[x]/(x^2)", "Z2[t]/(t^2+t)", "Z10[x]/(x^2)", "Z2xZ3xZ5", "Z4xZ9"]
 
 
-@pytest.mark.parametrize("name", ORACLE_CASES + NONLOCAL_RINGS)
+@pytest.mark.parametrize("name", ORACLE_CASES + NONLOCAL_RINGS + SPLIT_MODULUS_RINGS)
 def test_oracle_equivalence_vertices_and_maximality(name):
     # every principal J and a sample of two-generator J, each taken once
     ring = build_ring(name)

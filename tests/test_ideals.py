@@ -4,6 +4,7 @@ import itertools
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, strategies as st
 
 from oracles import (
     closure_span,
@@ -29,8 +30,9 @@ from ringgraphs.ideals import (
     span_from_labels,
     zero_ideal,
 )
-from ringgraphs.rings import build_ring
-from test_graphs import ORBIT_RINGS
+from ringgraphs.graphs import vertex_set
+from ringgraphs.rings import PolyQuotientRing, build_ring
+from test_graphs import ORBIT_RINGS, SPLIT_MODULUS_RINGS
 from test_rings import PRODUCT_RINGS
 
 ORACLE_RINGS = [
@@ -54,6 +56,7 @@ STRUCTURE_RINGS = list(dict.fromkeys([
     "Z2[t]/(t^2+t)",
     "Z10[x]/(x^2)",
     "Z2[x,y]/(x^3+x,y^2)",
+    *SPLIT_MODULUS_RINGS,
 ]))
 
 
@@ -158,6 +161,7 @@ def test_semiprime_square_criterion_matches_all_exponents(name):
 
 @pytest.mark.parametrize("name", STRUCTURE_RINGS)
 def test_power_walk_matches_naive_units_and_nilpotents(name):
+    # the name predates the maximal ideals, from which both bitsets now come
     ring = build_ring(name)
     nilpotents = naive_nilpotents(ring)
     assert ring.unit_bits() == sum(1 << x for x in naive_units(ring))
@@ -268,10 +272,55 @@ def test_maximal_generators_span_every_maximal_ideal(name):
         ("Z4[x]/(x^2)", 1),
         ("Z3[t]/(t^2+1)", 1),
         ("Z6[t]/(t^2+t)", 4),
+        # the modulus splits mod p: one maximal ideal per distinct factor
+        ("Z3[t]/(t^4+2)", 3),
+        ("Z10[t]/(t^2+1)", 3),
+        ("Z12[t]/(t^2+t)", 4),
+        ("Z2[t]/(t^3+1)", 2),  # t^2+t+1 is irreducible
+        ("Z2[t]/(t^4+1)", 1),  # (t+1)^4
+        ("Z2[x,t]/(x^2,t^3+1)", 2),
     ],
 )
 def test_maximal_ideal_count_of_quotient_rings(name, count):
     assert len(maximal_generators(build_ring(name))) == count
+
+
+@st.composite
+def small_quotient_rings(draw):
+    """Z_m[t, x, y]/(f(t), x^a, y^b) of at most 256 elements, m in 2..12.
+
+    At most one monic modulus f, of degree 1-3, and 0-2 nilpotent variables.
+    """
+    m = draw(st.integers(2, 12))
+    slots = max(k for k in range(1, 9) if m**k <= 256)  # monomials that fit
+    degree = draw(st.integers(0, min(3, slots)))  # 0: no modulus
+    used = max(degree, 1)
+    exponents = []
+    for _ in range(draw(st.integers(0 if degree else 1, 2))):
+        exponents.append(draw(st.integers(1, slots // used)))
+        used *= exponents[-1]
+    if not degree:
+        return build_ring(PolyQuotientRing(m, ("x", "y")[: len(exponents)], tuple(exponents)))
+    tail = tuple(draw(st.integers(0, m - 1)) for _ in range(degree))
+    variables = ("t", "x", "y")[: 1 + len(exponents)]
+    return build_ring(PolyQuotientRing(m, variables, (degree, *exponents), 0, (*tail, 1)))
+
+
+@given(ring=small_quotient_rings(), data=st.data())
+def test_quotient_structure_matches_referees(ring, data):
+    # units, radical, vertex sets and maximality all come from the maximal
+    # ideals read off the descriptor; each is checked against a referee
+    assert ring.size <= 256
+    assert ring.unit_bits() == sum(1 << x for x in naive_units(ring))
+    assert ring.nilpotent_bits() == sum(1 << x for x in naive_nilpotents(ring))
+    g = data.draw(st.integers(0, ring.size - 1))
+    maxima = [span(ring, gens) for gens in maximal_generators(ring)]
+    for J in [zero_ideal(ring), span(ring, [g]), *maxima]:
+        j_members = set(J.members())
+        verts = naive_vertices(ring, j_members, "cozero")
+        assert list(vertex_set(ring, J)) == verts
+        assert is_maximal(J) == (len(j_members) < ring.size and not verts)
+    assert all(is_maximal(m) for m in maxima)
 
 
 @pytest.mark.parametrize("name", ORACLE_RINGS)

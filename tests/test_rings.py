@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import digit_add, digit_neg, poly_mul, power_rho
+from oracles import digit_add, digit_neg, naive_monic_factors, poly_mul, power_rho
 from ringgraphs.claims import GRID_RINGS
 from ringgraphs.rings import (
     CarrierTooLarge,
@@ -13,11 +13,11 @@ from ringgraphs.rings import (
     NonMonicModulus,
     ParseError,
     PolyQuotientRing,
-    Ring,
     ZeroModulus,
     _QuotientRingOps,
     build_ring,
     descriptor_string,
+    monic_irreducible_factors,
     parse_elements,
     parse_ring,
 )
@@ -25,7 +25,7 @@ from ringgraphs.rings import (
 SMALL_RINGS = ["Z6", "Z12", "Z2xZ3", "Z2xZ2", "Z4[x]/(x^2)", "Z3[t]/(t^2+1)"]
 MEDIUM_RINGS = SMALL_RINGS + ["Z24", "Z2[x,y]/(x^3,y^2)", "Z4xZ9"]
 # non-local quotient rings, a modulus rewrite, and a three-factor product
-UNIT_WALK_RINGS = ["Z6[x]/(x^2)", "Z2[t]/(t^2+t)", "Z4[t]/(t^3+t+1)", "Z4xZ9xZ25"]
+UNIT_SCAN_RINGS = ["Z6[x]/(x^2)", "Z2[t]/(t^2+t)", "Z4[t]/(t^3+t+1)", "Z4xZ9xZ25"]
 
 # every quotient ring of at most 128 elements that the tests, the grid or the
 # stabilize-poly benchmark pools build; the modulus rewrites are the cases
@@ -244,7 +244,7 @@ def test_quotient_add_tables_are_built_on_first_add():
     assert len(vars(ring)["_index"]) == ring.size == 65536
 
 
-@pytest.mark.parametrize("name", MEDIUM_RINGS + UNIT_WALK_RINGS)
+@pytest.mark.parametrize("name", MEDIUM_RINGS + UNIT_SCAN_RINGS)
 def test_unit_scan_matches_definition(name):
     ring = build_ring(name)
     assert ring.size <= 900
@@ -265,18 +265,20 @@ def test_power_sequence_eventually_periodic(name):
 
 
 # every product ring of the grid and of the oracle ring lists, plus three- and
-# four-factor products
+# four-factor products; test_ideals checks their units and nilpotents
 PRODUCT_RINGS = ["Z4xZ9", "Z2xZ2", "Z2xZ3", "Z2xZ3xZ5", "Z4xZ9xZ25", "Z2xZ4", "Z8xZ3xZ2xZ5"]
 
 
-@pytest.mark.parametrize("name", PRODUCT_RINGS)
-def test_product_unit_bits_match_power_walk(name):
-    # a tuple is a unit, or nilpotent, iff each component is; the generic
-    # power walk of Ring._compute_power_bits decides both sets without the
-    # factors
-    ring = build_ring(name)
-    assert type(ring)._compute_power_bits is not Ring._compute_power_bits
-    assert (ring.unit_bits(), ring.nilpotent_bits()) == Ring._compute_power_bits(ring)
+@pytest.mark.parametrize("p", [2, 3])
+def test_monic_factors_match_brute_force(p):
+    # every monic polynomial of degree <= 4 over F_p: the maximal ideals of a
+    # quotient ring with a modulus come from these factors
+    for degree in range(1, 5):
+        for tail in itertools.product(range(p), repeat=degree):
+            f = (*tail, 1)
+            factors = monic_irreducible_factors(f, p)
+            assert len(set(factors)) == len(factors), f
+            assert set(factors) == naive_monic_factors(f, p), f
 
 
 def test_modular_unit_scan_large():

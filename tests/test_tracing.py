@@ -29,6 +29,8 @@ def test_tracer_and_op_counter_install_and_restore():
             graphs.adjacent(ring, J, 2, 3, 1)
             assert ideals.is_maximal(ideals.span(ring, [2]))
             ideals.jacobson_radical(ring)
+            # nothing above reads the units of Z12, so the binding is called here
+            ring.unit_bits()
             ring.pow(5, 3)
             ops = counter.metrics()
         finally:
