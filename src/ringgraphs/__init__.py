@@ -35,6 +35,7 @@ from .graphs import (
     PowerTrajectory,
     adjacent,
     build_level,
+    clear_caches,
     minimal_stabilization_index,
     power_trajectory,
     stabilization_bound,

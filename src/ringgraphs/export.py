@@ -1,8 +1,8 @@
-"""Serialization of level graphs: JSON, DOT, and the JSON loader.
+"""Serialization of level graphs: JSON, DOT, a text table, and the JSON loader.
 
-Both formats enumerate vertices and edges in the same order (carrier index,
-then lexicographic index pairs), so exports are deterministic and directly
-comparable.
+Every writer lists vertices and edges in the same order (carrier index, then
+lexicographic index pairs) and joins its document once from per-vertex
+pieces, so exports are deterministic, directly comparable and held once.
 """
 
 from __future__ import annotations
@@ -24,25 +24,34 @@ def _json_array(items: list[str]) -> str:
     return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
+def _add_edges(out: list[str], rows, ends: list[str], head: str, tail: str) -> None:
+    """Append vertex k's head, then vertex j's tail, for each edge (k, j), k < j.
+
+    Both formats are filled once per vertex from ``ends``, and twins share
+    their tails, so an edge costs two slots in ``out`` and no text of its own.
+    """
+    tails = [tail.format(e) for e in ends]
+    for h, later in zip(map(head.format, ends), later_neighbours(rows, tails)):
+        pieces = [h] * (2 * len(later))
+        pieces[1::2] = later
+        out += pieces
+
+
 def graph_to_json(g: GraphLevel) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True) + "\n"`` of the README's schema.
 
     The same bytes, written straight from the adjacency rows: each vertex is
-    labelled and quoted once, every edge block is a vertex's head string
-    followed by a neighbour's tail string, and the document is joined once.
-    CPython's C encoder does not handle ``indent``, so going through a dict
-    would run its pure-Python encoder over every edge.
+    labelled and quoted once, and the document is joined once from per-vertex
+    pieces, so it holds the text once and costs about the output length plus
+    two list slots per edge. CPython's C encoder does not handle ``indent``,
+    so going through a dict would run its pure-Python encoder over every edge.
     """
     quoted = [encode_basestring_ascii(g.ring.label(v)) for v in g.vertices]
-    heads = [f"    [\n      {q},\n      " for q in quoted]
-    tails = [f"{q}\n    ]" for q in quoted]
     out = ['{\n  "edges": [']
-    sep = "\n"
-    for head, later in zip(heads, later_neighbours(g.rows, tails)):
-        if later:
-            out += (sep, head, (",\n" + head).join(later))
-            sep = ",\n"
-    out.append("]" if sep == "\n" else "\n  ]")
+    _add_edges(out, g.rows, quoted, ",\n    [\n      {},\n      ", "{}\n    ]")
+    if len(out) > 1:
+        out[1] = out[1][1:]  # no comma before the first edge
+    out.append("\n  ]" if len(out) > 1 else "]")
     level = encode_basestring_ascii(EXTENDED) if g.requested_extended else str(g.level)
     ideal = ["    " + encode_basestring_ascii(lbl) for lbl in g.ideal.generator_labels()]
     out += (
@@ -59,13 +68,8 @@ def graph_to_json(g: GraphLevel) -> str:
 def graph_to_dot(g: GraphLevel) -> str:
     level_tag = "ext" if g.requested_extended else str(g.level)
     names = [f'"{g.ring.label(v)}"' for v in g.vertices]
-    out = [f"graph g_{g.kind}_{level_tag} {{\n"]
-    out += [f"  {name};\n" for name in names]
-    ends = [f"{name};\n" for name in names]
-    for name, later in zip(names, later_neighbours(g.rows, ends)):
-        if later:
-            head = f"  {name} -- "
-            out += (head, head.join(later))
+    out = [f"graph g_{g.kind}_{level_tag} {{\n", *(f"  {name};\n" for name in names)]
+    _add_edges(out, g.rows, names, "  {} -- ", "{};\n")
     out.append("}\n")
     return "".join(out)
 
@@ -80,15 +84,9 @@ def graph_to_table(g: GraphLevel) -> str:
         f"level:    {level_tag} (resolved {g.level})\n",
         f"vertices: {len(g.vertices)}\n",
         f"edges:    {g.edge_count}\n",
-        "\n",
+        "\n", *(f"  {label}\n" for label in labels), "\n",
     ]
-    out += [f"  {label}\n" for label in labels]
-    out.append("\n")
-    ends = [f"{label}\n" for label in labels]
-    for label, later in zip(labels, later_neighbours(g.rows, ends)):
-        if later:
-            head = f"  {label} -- "
-            out += (head, head.join(later))
+    _add_edges(out, g.rows, labels, "  {} -- ", "{}\n")
     return "".join(out)
 
 

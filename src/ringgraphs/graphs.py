@@ -64,7 +64,7 @@ from typing import Iterator, Optional, Sequence, TypeVar, Union
 
 from .ideals import IdealSet, ideal_sum, ideal_sum_bits, maximal_generators, nonunit_bits
 from .ideals import set_bit_items, unit_ideal
-from .rings import Ring, descriptor_string
+from .rings import _RING_CACHE, _RING_CACHE_LOCK, Ring, descriptor_string
 
 COZERO = "cozero"
 ZERO = "zero"
@@ -294,6 +294,18 @@ def level_context(ring: Ring, J: IdealSet) -> LevelContext:
                 ctx = LevelContext(ring, J)
                 _CONTEXTS[key] = ctx
     return ctx
+
+
+def clear_caches() -> None:
+    """Drop every cached ring and level context.
+
+    Each ring's interned ideals and each context's built levels go with them.
+    Objects already held keep working; later calls build fresh ones.
+    """
+    with _RING_CACHE_LOCK:
+        _RING_CACHE.clear()
+    with _CONTEXT_LOCK:
+        _CONTEXTS.clear()
 
 
 # ---------------------------------------------------------------------------

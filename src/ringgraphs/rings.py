@@ -677,10 +677,18 @@ class _QuotientRingOps(Ring):
     def coordinates(self, a):
         return self.decode_digits(a)
 
+    @functools.cached_property
+    def _terms(self) -> list[list[str]]:
+        """``_terms[k][c]``: the term c times the k-th monomial in descending order."""
+        return [
+            [_poly_term_str(self.variables, mono, c) for c in range(self.m)]
+            for mono in reversed(self.monomials)
+        ]
+
     def label(self, a):
-        digits = self.decode_digits(a)
-        terms = {self.monomials[k]: c for k, c in enumerate(digits) if c}
-        return poly_string(self.variables, terms)
+        # poly_string's output, with each term string built once per ring
+        digits = reversed(self.decode_digits(a))
+        return "+".join([term[c] for term, c in zip(self._terms, digits) if c]) or "0"
 
     def parse_label(self, text):
         terms = parse_poly(text, self.variables)

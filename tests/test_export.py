@@ -3,12 +3,15 @@
 import hashlib
 import json
 import random
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
 from oracles import grid_graphs
-from ringgraphs import graphs
+from ringgraphs import clear_caches, graphs, rings
 from ringgraphs.analysis import complete_multipartite_parts, is_complete
 from ringgraphs.export import graph_to_dot, graph_to_json, graph_to_table, load_graph_json
 from ringgraphs.graphs import COZERO, EXTENDED, ZERO, build_level, later_neighbours
@@ -173,6 +176,48 @@ def test_extend_zn_exports_round_trip(name, kind):
     assert graph_to_json(loaded) == text
     assert graph_to_dot(loaded) == reference_dot(g)
     assert graph_to_table(loaded) == reference_table(g)
+
+
+@pytest.mark.parametrize("writer", [graph_to_json, graph_to_dot, graph_to_table])
+def test_writers_hold_their_text_once(writer):
+    # the document plus two list slots per edge: no edge text is held twice
+    g = ext_graph("Z4xZ9xZ25", COZERO)
+    writer(g)
+    tracemalloc.start()
+    try:
+        text = writer(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= len(text) + 20 * g.edge_count + 256 * 1024, (peak, len(text))
+
+
+def test_clear_caches_empties_both_caches_and_rebuilds_the_same_bytes():
+    before = ext_graph("Z1000", ZERO)
+    text = graph_to_json(before)
+    clear_caches()
+    assert not rings._RING_CACHE and not graphs._CONTEXTS
+    after = ext_graph("Z1000", ZERO)
+    assert after.ring is not before.ring
+    assert graph_to_json(after) == text
+
+
+def test_clear_caches_during_builds_leaves_each_build_whole():
+    want = graph_to_json(ext_graph("Z60", COZERO))
+
+    def build(k):
+        if k % 4 == 0:
+            clear_caches()
+        return graph_to_json(ext_graph("Z60", COZERO))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            texts = list(pool.map(build, range(32), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert texts == [want] * 32
 
 
 BASE_Z12 = {"ring": "Z12", "ideal": [], "vertices": ["2", "3", "4", "9"],

@@ -20,7 +20,9 @@ from ringgraphs.rings import (
     monic_irreducible_factors,
     parse_elements,
     parse_ring,
+    poly_string,
 )
+from test_graphs import ORBIT_RINGS, SPLIT_MODULUS_RINGS
 
 SMALL_RINGS = ["Z6", "Z12", "Z2xZ3", "Z2xZ2", "Z4[x]/(x^2)", "Z3[t]/(t^2+1)"]
 MEDIUM_RINGS = SMALL_RINGS + ["Z24", "Z2[x,y]/(x^3,y^2)", "Z4xZ9"]
@@ -126,6 +128,18 @@ def test_label_round_trip():
         ring = build_ring(name)
         for x in ring.elements():
             assert ring.parse_label(ring.label(x)) == x
+
+
+@pytest.mark.parametrize("name", [
+    name
+    for name in dict.fromkeys(ORBIT_RINGS + SPLIT_MODULUS_RINGS + ["Z4[t]/(t^3+t+1)"])
+    if "[" in name
+])
+def test_quotient_label_table_matches_poly_string(name):
+    ring = build_ring(name)
+    for x in ring.elements():
+        terms = dict(zip(ring.monomials, ring.decode_digits(x)))
+        assert ring.label(x) == poly_string(ring.variables, terms)
 
 
 def test_coordinates_bijection():
