@@ -11,8 +11,7 @@ same way as built ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .graphs import GraphLevel, level_context
 from .ideals import set_bit_items, zero_ideal
@@ -31,8 +30,7 @@ class NotZpnqForm(Exception):
     """The modulus does not factor as p^n * q with distinct primes."""
 
 
-@dataclass(frozen=True)
-class PartitionWitness:
+class PartitionWitness(NamedTuple):
     parts: tuple[tuple[int, ...], ...]
 
     @property
@@ -40,8 +38,7 @@ class PartitionWitness:
         return len(self.parts)
 
 
-@dataclass(frozen=True)
-class PartitionVerdict:
+class PartitionVerdict(NamedTuple):
     holds: bool
     witness: Optional[tuple[int, int]] = None
     reason: str = ""

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import analysis
 from .analysis import (
@@ -63,8 +62,7 @@ VACUOUS = "VACUOUS"
 UNSUPPORTED = "UNSUPPORTED"
 
 
-@dataclass(frozen=True)
-class ClaimInstance:
+class ClaimInstance(NamedTuple):
     claim: str
     ring: str
     ideal: str = "0"
@@ -98,13 +96,11 @@ class ClaimInstance:
         )
 
 
-@dataclass
 class ClaimReport:
-    instance: ClaimInstance
-    status: str
-    witness: Optional[dict] = None
-    detail: str = ""
-    elapsed: float = 0.0
+    def __init__(self, instance: ClaimInstance, status: str, witness: Optional[dict] = None,
+                 detail: str = "", elapsed: float = 0.0):
+        self.instance, self.status, self.witness = instance, status, witness
+        self.detail, self.elapsed = detail, elapsed
 
     def as_dict(self) -> dict:
         # elapsed is intentionally left out: reports must be byte-identical
@@ -494,8 +490,7 @@ def _run_semiprime_incompleteness(r: _Resolved):
     return VERIFIED, None, f"neither graph is complete at level {g.level}"
 
 
-@dataclass(frozen=True)
-class ClaimDef:
+class ClaimDef(NamedTuple):
     claim_id: str
     summary: str
     runner: Callable[[_Resolved], tuple]
@@ -606,11 +601,11 @@ def run_claim(instance: ClaimInstance) -> ClaimReport:
     return _evaluate(instance, {})
 
 
-@dataclass
 class SuiteResult:
-    reports: list[ClaimReport]
-    summary: dict[str, dict[str, int]]
-    mismatches: list[ClaimReport] = field(default_factory=list)
+    def __init__(self, reports: list[ClaimReport], summary: dict[str, dict[str, int]],
+                 mismatches: Optional[list[ClaimReport]] = None):
+        self.reports, self.summary = reports, summary
+        self.mismatches = [] if mismatches is None else mismatches
 
     @property
     def ok(self) -> bool:

@@ -13,16 +13,14 @@ when it contains x^k R + J), so no new witness can appear past the chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .graphs import level_context
 from .ideals import IdealSet
 from .rings import Ring
 
 
-@dataclass(frozen=True)
-class ConilpotencyRecord:
+class ConilpotencyRecord(NamedTuple):
     element: int
     is_conilpotent: bool
     index: Optional[int]

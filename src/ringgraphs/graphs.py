@@ -59,11 +59,10 @@ chain J (x in J) or R (x a unit modulo J) and needs no span.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional, Sequence, TypeVar, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, TypeVar, Union
 
 from .ideals import IdealSet, ideal_sum, ideal_sum_bits, maximal_generators, nonunit_bits
-from .ideals import set_bit_items, unit_ideal
+from .ideals import immutable, set_bit_items, unit_ideal
 from .rings import _RING_CACHE, _RING_CACHE_LOCK, Ring, descriptor_string
 
 COZERO = "cozero"
@@ -95,8 +94,7 @@ def later_neighbours(rows: Sequence[int], items: Sequence[T]) -> Iterator[list[T
         yield got[(row & ((2 << k) - 1)).bit_count() :]
 
 
-@dataclass(frozen=True)
-class PowerTrajectory:
+class PowerTrajectory(NamedTuple):
     """The ideals x^m R + J for m = 1, 2, ... up to the chain's first repeat.
 
     ``ideals`` is strictly descending and ends at the stable ideal, which
@@ -106,7 +104,15 @@ class PowerTrajectory:
     """
 
     ideals: tuple[IdealSet, ...]
-    powers: tuple[int, ...] = field(compare=False)
+    powers: tuple[int, ...]
+
+    def __eq__(self, other):
+        return isinstance(other, PowerTrajectory) and self.ideals == other.ideals
+
+    __ne__ = object.__ne__
+
+    def __hash__(self):
+        return hash(self.ideals)
 
     def ideal_at(self, m: int) -> IdealSet:
         if m < 1:
@@ -114,17 +120,20 @@ class PowerTrajectory:
         return self.ideals[min(m, len(self.ideals)) - 1]
 
 
-@dataclass(frozen=True, eq=False)
 class GraphLevel:
     """A level graph: sorted vertices plus a symmetric adjacency bitset."""
 
-    ring: Ring
-    ideal: IdealSet
-    kind: str
-    level: int
-    requested_extended: bool
-    vertices: tuple[int, ...]
-    rows: tuple[int, ...]  # rows[k] bit j set iff vertices[k] ~ vertices[j]
+    # rows[k] bit j set iff vertices[k] ~ vertices[j]
+    __slots__ = ("ring", "ideal", "kind", "level", "requested_extended", "vertices", "rows",
+                 "_pos_cache")
+
+    def __init__(self, ring: Ring, ideal: IdealSet, kind: str, level: int,
+                 requested_extended: bool, vertices: tuple[int, ...], rows: tuple[int, ...]):
+        values = (ring, ideal, kind, level, requested_extended, vertices, rows, None)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    __setattr__ = __delattr__ = immutable
 
     def position_of(self, x: int) -> int:
         pos = self._positions().get(x)
@@ -133,7 +142,7 @@ class GraphLevel:
         return pos
 
     def _positions(self) -> dict[int, int]:
-        pos = getattr(self, "_pos_cache", None)
+        pos = self._pos_cache
         if pos is None:
             pos = {v: k for k, v in enumerate(self.vertices)}
             object.__setattr__(self, "_pos_cache", pos)
@@ -377,7 +386,11 @@ def build_level(ring: Ring, J: IdealSet, i: Level, kind: str = COZERO) -> GraphL
             rows=tuple(_level_rows(ctx, lvl, kind)),
         )
         concrete = ctx._graphs.setdefault((lvl, kind), concrete)
-    return replace(concrete, requested_extended=True) if i == EXTENDED else concrete
+    if i != EXTENDED:
+        return concrete
+    # the stable level, flagged as asked for; it shares the concrete level's rows
+    return GraphLevel(concrete.ring, concrete.ideal, kind, lvl, True,
+                      concrete.vertices, concrete.rows)
 
 
 def minimal_stabilization_index(ring: Ring, J: IdealSet, kind: str = COZERO) -> int:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Iterator, Sequence, TypeVar
 
@@ -47,15 +46,24 @@ def set_bit_items(bits: int, items: Sequence[T]) -> Iterator[T]:
     return compress(items, f"{bits:b}"[::-1].encode().translate(_BIT_BYTES))
 
 
+def immutable(obj, name: str, *value) -> None:
+    """``__setattr__`` and ``__delattr__`` of a class whose fields never change."""
+    raise AttributeError(f"{type(obj).__name__}.{name} cannot be set or deleted")
+
+
 def _indices(bits: int) -> Iterator[int]:
     """The positions of the set bits, in increasing order."""
     return set_bit_items(bits, range(bits.bit_length()))
 
 
-@dataclass(frozen=True, eq=False)
 class IdealSet:
-    ring: Ring
-    bits: int
+    __slots__ = ("ring", "bits")
+
+    def __init__(self, ring: Ring, bits: int):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "bits", bits)
+
+    __setattr__ = __delattr__ = immutable
 
     def contains(self, x: int) -> bool:
         return bool(self.bits >> x & 1)

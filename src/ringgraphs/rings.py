@@ -23,8 +23,7 @@ import itertools
 import operator
 import re
 import threading
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 CARRIER_CAP = 65536
 
@@ -53,18 +52,15 @@ class ParseError(RingError):
 # Descriptors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ModularRing:
+class ModularRing(NamedTuple):
     modulus: int
 
 
-@dataclass(frozen=True)
-class ProductRing:
+class ProductRing(NamedTuple):
     factors: tuple["RingDescriptor", ...]
 
 
-@dataclass(frozen=True)
-class PolyQuotientRing:
+class PolyQuotientRing(NamedTuple):
     coefficient_modulus: int
     variables: tuple[str, ...]
     # degree bound per variable: x_i^exponents[i] rewrites to 0, except for

@@ -5,7 +5,9 @@ own digit-wise addition: no ``ring.add``, no IdealSet, no interning, no
 trajectory caches. The graph oracles read a built graph one vertex pair at
 a time through ``has_edge``, never a whole adjacency row. Costs are
 quadratic and worse on purpose; these are the referees, not the
-implementation.
+implementation. The one exception is ``zn_cozero_rows``, a closed form for
+Z_n in plain integers, which checks whole graphs of tens of thousands of
+vertices.
 """
 
 from __future__ import annotations
@@ -395,3 +397,31 @@ def grid_graphs():
             for kind in (COZERO, ZERO):
                 for i in (1, 2, 3, EXTENDED):
                     yield build_level(ring, J, i, kind)
+
+
+def zn_cozero_rows(n, i):
+    """Vertices and adjacency rows of Z_n's cozero level-i graph over J = 0.
+
+    Plain integers only. x^a Z_n = gcd(x^a, n) Z_n, and gcd(x^a, n) =
+    gcd(d^a, n) for d = gcd(x, n), so the vertices 0 < x < n with d > 1 fall
+    into classes by d. Classes d and e are adjacent when, for some a, b <= i,
+    neither gcd(d^a, n) nor gcd(e^b, n) divides the other; a class's own
+    chain is totally ordered by divisibility, so twins are never adjacent.
+    At i >= log2(n) every chain has reached its stable ideal, which gives
+    the stabilized ("ext") graph.
+    """
+    vertices = [x for x in range(1, n) if math.gcd(x, n) > 1]
+    members = {}
+    for k, x in enumerate(vertices):
+        d = math.gcd(x, n)
+        members[d] = members.get(d, 0) | 1 << k
+    chains = {d: {math.gcd(pow(d, a, n), n) for a in range(1, i + 1)} for d in members}
+    rows = {
+        d: sum(
+            members[e]
+            for e in members
+            if any(c % f and f % c for c in chains[d] for f in chains[e])
+        )
+        for d in members
+    }
+    return vertices, [rows[math.gcd(x, n)] for x in vertices]

@@ -15,9 +15,10 @@ from oracles import (
     naive_units,
     naive_vertices,
     power_rho,
+    zn_cozero_rows,
 )
 from test_acceptance import ORACLE_RINGS
-from ringgraphs import graphs
+from ringgraphs import clear_caches, graphs
 from ringgraphs.graphs import (
     COZERO,
     EXTENDED,
@@ -655,3 +656,25 @@ def test_graph_json_ordering_invariants():
     assert edges == sorted(edges)
     assert all(x < y for x, y in edges)
     assert list(g.vertices) == sorted(g.vertices)
+
+
+@pytest.mark.parametrize(
+    "n, order, size",
+    [(2310, 1829, 880_802), (1024, 511, 0), (30030, 24_269, 166_490_774)],
+)
+def test_zn_ext_matches_the_closed_form(n, order, size):
+    vertices, rows = zn_cozero_rows(n, n.bit_length())
+    assert (len(vertices), sum(r.bit_count() for r in rows) // 2) == (order, size)
+    g = build_level(*zero_of(f"Z{n}"), EXTENDED)
+    clear_caches()  # the Z30030 level holds about 95 MiB of rows: free them with g
+    assert g.vertices == tuple(vertices)
+    assert g.rows == tuple(rows)
+
+
+@pytest.mark.parametrize("n", [360, 1000, 2310])
+@pytest.mark.parametrize("i", [1, 2, 3])
+def test_zn_levels_match_the_closed_form(n, i):
+    g = build_level(*zero_of(f"Z{n}"), i)
+    vertices, rows = zn_cozero_rows(n, i)
+    assert g.vertices == tuple(vertices)
+    assert g.rows == tuple(rows)
