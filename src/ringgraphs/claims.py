@@ -665,12 +665,30 @@ def _json_text(value, indent: str = "\n") -> str:
 
 
 def suite_to_json(result: SuiteResult) -> str:
-    obj = {
-        "reports": [rep.as_dict() for rep in result.reports],
-        "summary": result.summary,
-        "mismatches": len(result.mismatches),
-    }
-    return _json_text(obj) + "\n"
+    """The suite as ``json.dumps(indent=2, sort_keys=True)`` writes it, byte for byte.
+
+    Each report is written by its fixed shape, its eight keys in sorted order.
+    Only the params, rendered once per distinct ``repr`` (which tells ``1``
+    from ``True``), and the witness go through ``_json_text``.
+    """
+    nl, params_text, texts = "\n      ", {}, []
+    for rep in result.reports:
+        inst = rep.instance
+        params = params_text.get(key := repr(inst.params))
+        if params is None:
+            params = params_text[key] = _json_text(dict(inst.params), nl)
+        expected = "null" if inst.expected is None else _json_str(inst.expected)
+        texts.append(
+            f'{{{nl}"claim": {_json_str(inst.claim)},{nl}"detail": {_json_str(rep.detail)},'
+            f'{nl}"expected": {expected},{nl}"ideal": {_json_str(inst.ideal)},'
+            f'{nl}"params": {params},{nl}"ring": {_json_str(inst.ring)},'
+            f'{nl}"status": {_json_str(rep.status)},'
+            f'{nl}"witness": {_json_text(rep.witness, nl)}\n    }}'
+        )
+    reports = "[\n    " + ",\n    ".join(texts) + "\n  ]" if texts else "[]"
+    summary = _json_text(result.summary, "\n  ")
+    return (f'{{\n  "mismatches": {len(result.mismatches)},\n  "reports": {reports},'
+            f'\n  "summary": {summary}\n}}\n')
 
 
 # ---------------------------------------------------------------------------
@@ -789,7 +807,7 @@ def load_grid(path: str) -> list[ClaimInstance]:
 
 
 def dump_grid(instances: list[ClaimInstance]) -> str:
-    return json.dumps([i.as_dict() for i in instances], indent=2, sort_keys=True) + "\n"
+    return _json_text([i.as_dict() for i in instances]) + "\n"
 
 
 # ---------------------------------------------------------------------------

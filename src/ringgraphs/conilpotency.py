@@ -9,6 +9,11 @@ The exponent search stops at the length of the descending chain x^k R + J,
 which is constant from its first repeat. Both non-memberships depend on x^k
 only through that ideal (R(1 - x) + J contains J, so it holds x^k exactly
 when it contains x^k R + J), so no new witness can appear past the chain.
+
+Only a vertex x whose complement 1 - x is also a vertex can be conilpotent.
+If x lies in J, then x^k R + J = J lies inside R(1 - x) + J. If x is a unit
+mod J, then x^k R + J = R holds 1 - x. If 1 - x is no vertex, either it lies
+in J, so x is a unit mod J, or R(1 - x) + J = R holds x^k.
 """
 
 from __future__ import annotations
@@ -33,9 +38,6 @@ def conilpotency_record(ring: Ring, J: IdealSet, x: int) -> ConilpotencyRecord:
     power_ideals = ctx.trajectory(x).ideals
     bound = len(power_ideals)
     one_minus_x = ring.sub(ring.one, x)
-    if not ctx.vertex_bits() >> one_minus_x & 1:
-        # R(1 - x) + J is R, which holds every power, or 1 - x lies in J
-        return ConilpotencyRecord(x, False, None, bound)
     complement_ideal = ctx.trajectory(one_minus_x).ideals[0]
     for k, power_ideal in enumerate(power_ideals, 1):
         if power_ideal.contains(one_minus_x):
@@ -47,10 +49,18 @@ def conilpotency_record(ring: Ring, J: IdealSet, x: int) -> ConilpotencyRecord:
 
 
 def conilpotency_maximum(ring: Ring, J: IdealSet) -> tuple[Optional[int], Optional[int]]:
-    """The ring's index and the first element attaining it; (None, None) if none qualifies."""
+    """The ring's index and the first element attaining it; (None, None) if none qualifies.
+
+    Scans only the vertices x with 1 - x a vertex, in carrier order: members of
+    J, units mod J and x with 1 - x in J or R(1 - x) + J = R are never conilpotent.
+    """
+    ctx = level_context(ring, J)
+    vertex_bits = ctx.vertex_bits()
     best: Optional[int] = None
     first = None
-    for x in range(ring.size):
+    for x in ctx.vertices():
+        if not vertex_bits >> ring.sub(ring.one, x) & 1:
+            continue
         rec = conilpotency_record(ring, J, x)
         if rec.is_conilpotent and (best is None or rec.index > best):
             best, first = rec.index, x

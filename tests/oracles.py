@@ -5,9 +5,11 @@ own digit-wise addition: no ``ring.add``, no IdealSet, no interning, no
 trajectory caches. The graph oracles read a built graph one vertex pair at
 a time through ``has_edge``, never a whole adjacency row. Costs are
 quadratic and worse on purpose; these are the referees, not the
-implementation. The one exception is ``zn_cozero_rows``, a closed form for
+implementation. One exception is ``zn_cozero_rows``, a closed form for
 Z_n in plain integers, which checks whole graphs of tens of thousands of
-vertices.
+vertices. The other is ``scan_conilpotency_maximum``, which referees only the
+library's choice of which elements to scan, so it reads each element's
+record through the library.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import itertools
 import math
 
 from ringgraphs.claims import GRID_RINGS, grid_ideals
+from ringgraphs.conilpotency import conilpotency_record
 from ringgraphs.graphs import COZERO, EXTENDED, ZERO, build_level
 from ringgraphs.ideals import span_from_labels
 from ringgraphs.rings import ModularRing, ProductRing, build_ring
@@ -296,6 +299,16 @@ def brute_conilpotency_index(ring, j_members):
                     best = k
                 break
     return best
+
+
+def scan_conilpotency_maximum(ring, J):
+    """``conilpotency_maximum`` over every element of the carrier, none skipped."""
+    best = first = None
+    for x in range(ring.size):
+        rec = conilpotency_record(ring, J, x)
+        if rec.is_conilpotent and (best is None or rec.index > best):
+            best, first = rec.index, x
+    return best, first
 
 
 def brute_is_multipartite(g):

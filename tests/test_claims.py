@@ -559,18 +559,38 @@ HAND_BUILT_WITNESSES = [
 ]
 
 
-def test_suite_json_matches_the_standard_encoder_on_hand_built_reports():
+def test_suite_json_matches_the_standard_encoder_on_hand_built_reports(tmp_path):
+    shared = (("i", 2), ("p", "ext"))
+    grid_file = tmp_path / "grid.json"
+    grid_file.write_text(dump_grid([
+        inst("C-EMPTY", "Z27", i="ext", expected=VERIFIED),
+        inst("C-BIP", "Z6", "2", i=1),
+        inst("C-FILT", "Z12", "6", expected=VACUOUS),
+    ]), encoding="utf-8")
     reports = [
         ClaimReport(
             ClaimInstance("C-EMPTY", "Z27", params=(("i", 4),), expected=VERIFIED),
             VERIFIED, HAND_BUILT_WITNESSES[0], "|V|=8, no edges",
         ),
-        ClaimReport(ClaimInstance("C-FILT", "Z4[x]/(x^2)", "2,x"), VACUOUS, None, ""),
+        ClaimReport(ClaimInstance("C-FILT", "Z4[x]/(x^2)", "2,x", params=()), VACUOUS, None, ""),
         ClaimReport(
             ClaimInstance("C-XI", "Z2xZ2", expected=None), REFUTED, HAND_BUILT_WITNESSES[8],
             "non-ASCII: x \u2208 J \u2014 \u00fc\U0001d53d \"quoted\" \\ tab\t",
         ),
+        # one params tuple under different witnesses, details and expectations
+        ClaimReport(ClaimInstance("C-BIP", "Z6", params=shared), VERIFIED, None, "first"),
+        ClaimReport(
+            ClaimInstance("C-BIP", "Z12", "6", shared, REFUTED), REFUTED, HAND_BUILT_WITNESSES[2],
+            "second",
+        ),
+        ClaimReport(ClaimInstance("C-ZDGC", "Z6", params=shared), VERIFIED, {}, ""),
+        # equal as tuples, written differently
+        ClaimReport(ClaimInstance("C-BIP", "Z6", params=(("i", 1),)), VERIFIED, None, ""),
+        ClaimReport(ClaimInstance("C-BIP", "Z6", params=(("i", True),)), VERIFIED, None, ""),
+        ClaimReport(ClaimInstance("C-BIP", "Z6", params=(("i", 1.0),)), VERIFIED, None, ""),
     ]
+    for k, loaded in enumerate(load_grid(str(grid_file))):
+        reports.append(ClaimReport(loaded, VACUOUS, HAND_BUILT_WITNESSES[k], f"loaded {k}"))
     for k, witness in enumerate(HAND_BUILT_WITNESSES):
         instance = ClaimInstance("C-BIP", "Z6", params=(("i", k + 1), ("p", "ext")))
         reports.append(ClaimReport(instance, REFUTED, witness, f"case {k}"))
@@ -581,6 +601,11 @@ def test_suite_json_matches_the_standard_encoder_on_hand_built_reports():
         SuiteResult(reports[1:2], {"C-FILT": {}}),
     ):
         assert suite_to_json(result) == _standard_json(_suite_object(result))
+
+
+def test_grid_file_matches_the_standard_encoder_on_the_default_grid():
+    grid = default_grid()
+    assert dump_grid(grid) == _standard_json([i.as_dict() for i in grid])
 
 
 def _spy(monkeypatch, name, calls):

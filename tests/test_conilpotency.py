@@ -2,16 +2,17 @@
 
 import pytest
 
-from oracles import brute_conilpotency_index, coset_set, power_rho
-from ringgraphs.claims import GRID_RINGS, _stable_power
+from oracles import brute_conilpotency_index, coset_set, power_rho, scan_conilpotency_maximum
+from ringgraphs.claims import GRID_RINGS, _stable_power, default_grid
 from ringgraphs.conilpotency import (
     conilpotency_maximum,
     conilpotency_record,
     ring_conilpotency_index,
 )
 from ringgraphs.graphs import build_level, power_trajectory, stabilization_bound, vertex_set
-from ringgraphs.ideals import jacobson_radical, span_from_labels, zero_ideal
+from ringgraphs.ideals import jacobson_radical, span, span_from_labels, zero_ideal
 from ringgraphs.rings import build_ring
+from test_graphs import NONLOCAL_RINGS, SPLIT_MODULUS_RINGS
 
 
 def test_record_examples():
@@ -79,6 +80,27 @@ def test_maximum_reads_the_index_and_its_first_element_from_one_scan(name, label
     )
     indices = [conilpotency_record(ring, J, y).index for y in ring.elements()]
     assert x == (None if xi is None else indices.index(xi))
+
+
+def test_maximum_matches_the_full_scan_on_the_default_grid():
+    pairs = dict.fromkeys((inst.ring, inst.ideal) for inst in default_grid())
+    assert len(pairs) == 56
+    for name, label in pairs:
+        ring = build_ring(name)
+        J = span_from_labels(ring, label)
+        assert conilpotency_maximum(ring, J) == scan_conilpotency_maximum(ring, J), (name, label)
+
+
+@pytest.mark.parametrize("name", NONLOCAL_RINGS + SPLIT_MODULUS_RINGS)
+def test_maximum_matches_the_full_scan_on_every_principal_ideal(name):
+    ring = build_ring(name)
+    seen = set()
+    for g in ring.elements():
+        J = span(ring, (g,))
+        if J.bits in seen:
+            continue
+        seen.add(J.bits)
+        assert conilpotency_maximum(ring, J) == scan_conilpotency_maximum(ring, J), ring.label(g)
 
 
 @pytest.mark.parametrize("name", BRUTE_CASES)
