@@ -43,7 +43,6 @@ from .graphs import (
 )
 from .ideals import (
     IdealSet,
-    UnsupportedRingFamily,
     ideal_sum,
     is_maximal,
     is_prime,

@@ -14,8 +14,8 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .graphs import GraphLevel, level_context
-from .ideals import set_bit_items, zero_ideal
-from .rings import ModularRing, Ring, prime_factorization
+from .ideals import zero_ideal
+from .rings import ModularRing, Ring, prime_factorization, set_bit_items
 
 
 class InvalidPartition(Exception):

@@ -61,9 +61,8 @@ from __future__ import annotations
 import threading
 from typing import Iterator, NamedTuple, Optional, Sequence, TypeVar, Union
 
-from .ideals import IdealSet, ideal_sum, ideal_sum_bits, maximal_generators, nonunit_bits
-from .ideals import immutable, set_bit_items, unit_ideal
-from .rings import _RING_CACHE, _RING_CACHE_LOCK, Ring, descriptor_string
+from .ideals import IdealSet, ideal_sum, ideal_sum_bits, immutable, nonunit_bits, unit_ideal
+from .rings import _RING_CACHE, _RING_CACHE_LOCK, Ring, descriptor_string, set_bit_items
 
 COZERO = "cozero"
 ZERO = "zero"
@@ -229,7 +228,7 @@ class LevelContext:
         traj = PowerTrajectory(ideals=tuple(ideals), powers=tuple(powers))
         # the orbit Ux + J is I = xR + J less each K = J + mxR, m maximal, that is not I
         I, smaller = ideals[0].bits, 0
-        for gens in maximal_generators(ring):
+        for gens in ring.maximal_generators:
             K = ideal_sum_bits(J, [ring.mul(g, x) for g in gens])
             if K != I:
                 smaller |= K

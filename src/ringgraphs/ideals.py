@@ -5,55 +5,21 @@ a bitset over carrier indices, and two spans with the same closure always
 return the very same object, so interned ideals compare by identity.
 Interning is the single mutating path and is guarded by the ring's lock.
 An ideal's name, its greedy generators, is derived from the bits alone.
+Spans and maximal ideals come from the ring (``span_bits``, ``maximal_bits``).
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import operator
-from itertools import compress
-from typing import Iterable, Iterator, Sequence, TypeVar
+from typing import Iterable, Iterator
 
-from .rings import (
-    ModularRing,
-    ProductRing,
-    Ring,
-    descriptor_string,
-    monic_irreducible_factors,
-    parse_elements,
-    poly_string,
-    prime_factorization,
-)
-
-
-class UnsupportedRingFamily(Exception):
-    """Raised when an operation needs ring structure we do not enumerate."""
-
-
-T = TypeVar("T")
-
-# maps the digits of a binary numeral to the bytes 0 and 1
-_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
-
-
-def set_bit_items(bits: int, items: Sequence[T]) -> Iterator[T]:
-    """The ``items[j]`` with bit j of ``bits`` set, in order of j.
-
-    This is the one bitset-to-positions walk: the bits are read off the
-    binary numeral in one pass, not by shifting once per position.
-    """
-    return compress(items, f"{bits:b}"[::-1].encode().translate(_BIT_BYTES))
+from .rings import Ring, _indices, descriptor_string, parse_elements
 
 
 def immutable(obj, name: str, *value) -> None:
     """``__setattr__`` and ``__delattr__`` of a class whose fields never change."""
     raise AttributeError(f"{type(obj).__name__}.{name} cannot be set or deleted")
-
-
-def _indices(bits: int) -> Iterator[int]:
-    """The positions of the set bits, in increasing order."""
-    return set_bit_items(bits, range(bits.bit_length()))
 
 
 class IdealSet:
@@ -122,49 +88,9 @@ def _intern(ring: Ring, bits: int) -> IdealSet:
 # Span
 # ---------------------------------------------------------------------------
 
-def _span_bits(ring: Ring, values: tuple[int, ...], base_bits: int) -> int:
-    """Bits of the ideal J + <values>, where ``base_bits`` are the bits of J."""
-    desc = ring.descriptor
-    if isinstance(desc, ModularRing):
-        # ideals of Z_n are dZ_n with d | n; J's least nonzero member generates J
-        n = desc.modulus
-        low = base_bits & ~1
-        d = math.gcd(n, *values, (low & -low).bit_length() - 1 if low else 0)
-        return ((1 << n) - 1) // ((1 << d) - 1)
-    if isinstance(desc, ProductRing):
-        # an ideal of a finite product is the product of its projections
-        coords = [ring.decode(v) for v in values]
-        base_coords = [ring.decode(a) for a in _indices(base_bits)]
-        factor_bits = []
-        for i, f in enumerate(ring.factor_rings):
-            cbase = 0
-            for c in base_coords:
-                cbase |= 1 << c[i]
-            factor_bits.append(_span_bits(f, tuple(c[i] for c in coords), cbase))
-        return ring.lift_bits(factor_bits)
-    # the monomials span R over Z_m, so Rv is the Z_m-span of the mono*v
-    gens = {ring.mul(ring.m**k, v) for k in range(len(ring.monomials)) for v in values}
-    members = list(_indices(base_bits))
-    bits = base_bits
-    for g in gens:
-        if bits >> g & 1:
-            continue
-        for a in members:  # grows while walked, so this closes under +g
-            s = ring.add(a, g)
-            if not bits >> s & 1:
-                bits |= 1 << s
-                members.append(s)
-    return bits
-
-
 def span(ring: Ring, generators: Iterable[int]) -> IdealSet:
-    """Smallest ideal containing the generators, interned.
-
-    Z_n takes the multiples of a gcd, a product ring the product of its
-    factors' spans, and a quotient ring the additive closure of the
-    generators' monomial multiples.
-    """
-    return _intern(ring, _span_bits(ring, tuple(generators), 1))
+    """Smallest ideal containing the generators, interned; ``Ring.span_bits``."""
+    return _intern(ring, ring.span_bits(tuple(generators), 1))
 
 
 def zero_ideal(ring: Ring) -> IdealSet:
@@ -178,7 +104,7 @@ def unit_ideal(ring: Ring) -> IdealSet:
 def ideal_sum_bits(J: IdealSet, values: Iterable[int]) -> int:
     """Bits of the ideal J + <values>, not interned."""
     vals = tuple(v for v in values if not J.contains(v))
-    return _span_bits(J.ring, vals, J.bits) if vals else J.bits
+    return J.ring.span_bits(vals, J.bits) if vals else J.bits
 
 
 def ideal_sum(J: IdealSet, values: Iterable[int]) -> IdealSet:
@@ -258,60 +184,10 @@ def _greedy_generators(ring: Ring, bits: int) -> list[int]:
             break
         if not have >> x & 1:
             gens.append(x)
-            have = _span_bits(ring, (x,), have)
+            have = ring.span_bits((x,), have)
     return gens
 
 
-def maximal_generators(ring: Ring) -> tuple[tuple[int, ...], ...]:
-    """A generating tuple for each maximal ideal, read off the descriptor.
-
-    Z_n has (p) for each prime p of n, in increasing order; a product ring
-    has each factor's tuples in turn, lifted to 1 in the other components.
-    In Z_m[t, x..]/(f(t), x^a..) the x.. are nilpotent and R/(p, x..) is
-    F_p[t]/(f mod p), so the maximal ideals are the (p, g(t), x..) for each
-    prime p of m and each distinct monic irreducible factor g of f mod p, by
-    prime, then by factor; with no modulus they are the (p, x..). Cached.
-    """
-    if ring._maximal_generators is None:  # racing fills agree
-        desc = ring.descriptor
-        if isinstance(desc, ModularRing):
-            out = tuple((p % desc.modulus,) for p in prime_factorization(desc.modulus))
-        elif isinstance(desc, ProductRing):
-            ones = [f.one for f in ring.factor_rings]
-            out = tuple(
-                tuple(ring.encode((*ones[:i], g, *ones[i + 1 :])) for g in gens)
-                for i, f in enumerate(ring.factor_rings)
-                for gens in maximal_generators(f)
-            )
-        else:
-            names, t = desc.variables, desc.modulus_var
-            nil = [v for i, v in enumerate(names) if i != t]
-            labels = []
-            for p in prime_factorization(ring.m):
-                if t is None:
-                    labels.append([str(p), *nil])
-                    continue
-                for g in monic_irreducible_factors(desc.modulus_coeffs, p):
-                    g_of_t = poly_string((names[t],), {(d,): c for d, c in enumerate(g)})
-                    labels.append([str(p), g_of_t, *nil])
-            out = tuple(tuple(map(ring.parse_label, gens)) for gens in labels)
-        ring._maximal_generators = out
-    return ring._maximal_generators
-
-
 def maximal_ideals(ring: Ring) -> list[IdealSet]:
-    """All maximal ideals, for modular rings and products of modular rings.
-
-    They are the spans of ``maximal_generators``, by factor, then by prime.
-    Every ring has them, but C-BIP reads this list, and its 16 default-grid
-    instances on quotient rings are pinned UNSUPPORTED by the benchmark, so
-    quotient rings stay refused here until those pins move.
-    """
-    desc = ring.descriptor
-    factors = desc.factors if isinstance(desc, ProductRing) else (desc,)
-    if not all(isinstance(f, ModularRing) for f in factors):
-        raise UnsupportedRingFamily(
-            "maximal ideals are listed only for modular rings and their products: "
-            "the C-BIP quotient instances stay UNSUPPORTED until their pins move"
-        )
+    """All maximal ideals, in the order of ``Ring.maximal_generators``."""
     return [_intern(ring, bits) for bits in ring.maximal_bits]

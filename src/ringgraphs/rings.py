@@ -14,18 +14,38 @@ Descriptors round-trip through a small textual grammar::
     zn    := "Z" integer
 
 e.g. ``Z12``, ``Z4xZ9``, ``Z2[x,y]/(x^3,y^2)``, ``Z3[t]/(t^2+1)``.
+Each family owns the spans (``span_bits``) and the ``maximal_generators``
+its ideals rest on. This module imports nothing from the rest of the package.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import re
 import threading
-from typing import NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 CARRIER_CAP = 65536
+
+# maps the digits of a binary numeral to the bytes 0 and 1
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def set_bit_items(bits: int, items: Sequence) -> Iterator:
+    """The ``items[j]`` with bit j of ``bits`` set, in order of j.
+
+    This is the one bitset-to-positions walk: the bits are read off the
+    binary numeral in one pass, not by shifting once per position.
+    """
+    return itertools.compress(items, f"{bits:b}"[::-1].encode().translate(_BIT_BYTES))
+
+
+def _indices(bits: int) -> Iterator[int]:
+    """The positions of the set bits, in increasing order."""
+    return set_bit_items(bits, range(bits.bit_length()))
 
 
 class RingError(Exception):
@@ -237,6 +257,8 @@ def parse_ring(text: str) -> RingDescriptor:
             if name in exponents:
                 raise ParseError(f"two relators for {name!r}")
             degree = max(exp[vi] for exp in terms)
+            if degree >= CARRIER_CAP.bit_length():  # m^degree >= 2^degree
+                raise CarrierTooLarge(f"quotient carrier exceeds {CARRIER_CAP}")
             coeffs = [0] * (degree + 1)
             for exp, c in terms.items():
                 coeffs[exp[vi]] = (coeffs[exp[vi]] + c) % modulus
@@ -383,12 +405,13 @@ class Ring:
     size: int
     one: int
     zero: int = 0
+    # per family and cached: a generating tuple for each maximal ideal
+    maximal_generators: tuple[tuple[int, ...], ...]
 
     def __init__(self, descriptor: RingDescriptor, size: int):
         self.descriptor = descriptor
         self.size = size
         self.full_bits = (1 << size) - 1
-        self._maximal_generators: Optional[tuple] = None  # ideals.maximal_generators
         self._stable_cases: Optional[tuple] = None  # claims._stable_cases
         self._lock = threading.Lock()
         # interned ideals by bits: one object per ideal, so they compare by identity
@@ -414,6 +437,10 @@ class Ring:
     def parse_label(self, text: str) -> int:
         raise NotImplementedError
 
+    def span_bits(self, values: tuple[int, ...], base_bits: int) -> int:
+        """Bits of the ideal J + <values>, where ``base_bits`` are the bits of J."""
+        raise NotImplementedError
+
     # shared operations ----------------------------------------------------------
 
     def sub(self, a: int, b: int) -> int:
@@ -435,10 +462,8 @@ class Ring:
 
     @functools.cached_property
     def maximal_bits(self) -> tuple[int, ...]:
-        """Each maximal ideal's bits, spanned once from ``ideals.maximal_generators``."""
-        from .ideals import _span_bits, maximal_generators
-
-        return tuple(_span_bits(self, gens, 1) for gens in maximal_generators(self))
+        """Each maximal ideal's bits, spanned once from ``maximal_generators``."""
+        return tuple(self.span_bits(gens, 1) for gens in self.maximal_generators)
 
     def unit_bits(self) -> int:
         """The elements outside every maximal ideal."""
@@ -482,6 +507,17 @@ class _ModularRingOps(Ring):
             raise ParseError(f"bad element label {text!r} for Z{self.n}")
         return int(s) % self.n
 
+    def span_bits(self, values, base_bits):
+        # ideals of Z_n are dZ_n with d | n; J's least nonzero member generates J
+        low = base_bits & ~1
+        d = math.gcd(self.n, *values, (low & -low).bit_length() - 1 if low else 0)
+        return ((1 << self.n) - 1) // ((1 << d) - 1)
+
+    @functools.cached_property
+    def maximal_generators(self) -> tuple[tuple[int, ...], ...]:
+        """(p) for each prime p of n, in increasing order."""
+        return tuple((p % self.n,) for p in prime_factorization(self.n))
+
 
 class _ProductRingOps(Ring):
     def __init__(self, desc: ProductRing, factors: list[Ring]):
@@ -523,20 +559,35 @@ class _ProductRingOps(Ring):
     def coordinates(self, a):
         return tuple(f.coordinates(c) for f, c in zip(self.factor_rings, self.decode(a)))
 
-    def lift_bits(self, factor_bits) -> int:
-        """Bits of the tuples whose component i has its bit set in factor_bits[i].
-
-        Such a tuple's index is sum(c_i * w_i) over its components c_i and the
-        mixed-radix weights w_i, so each factor's bits shift the partial set.
-        """
+    def span_bits(self, values, base_bits):
+        # an ideal of a finite product is the product of its projections; a
+        # tuple's index is sum(c_i * w_i) over its components c_i and the
+        # mixed-radix weights w_i, so each member c_i of factor i's span
+        # shifts the tuples built so far by c_i * w_i
+        coords = [self.decode(v) for v in values]
+        base_coords = [self.decode(a) for a in _indices(base_bits)]
         bits = 1
-        for fbits, w in zip(factor_bits, self._weights):
+        for i, (f, w) in enumerate(zip(self.factor_rings, self._weights)):
+            cbase = 0
+            for c in base_coords:
+                cbase |= 1 << c[i]
+            fbits = f.span_bits(tuple(c[i] for c in coords), cbase)
             layer = 0
             for c, digit in enumerate(f"{fbits:b}"[::-1]):
                 if digit == "1":
                     layer |= bits << (c * w)
             bits = layer
         return bits
+
+    @functools.cached_property
+    def maximal_generators(self) -> tuple[tuple[int, ...], ...]:
+        """Each factor's tuples in turn, lifted to 1 in the other components."""
+        ones = [f.one for f in self.factor_rings]
+        return tuple(
+            tuple(self.encode((*ones[:i], g, *ones[i + 1 :])) for g in gens)
+            for i, f in enumerate(self.factor_rings)
+            for gens in f.maximal_generators
+        )
 
     def label(self, a):
         comps = self.decode(a)
@@ -687,8 +738,54 @@ class _QuotientRingOps(Ring):
         return "+".join([term[c] for term, c in zip(self._terms, digits) if c]) or "0"
 
     def parse_label(self, text):
+        # _reduce rewrites the modulus variable t one degree per step, so a term
+        # at or past t's bound takes t^e by squaring: O(log e) products, not e
         terms = parse_poly(text, self.variables)
-        return self.encode_digits(self._reduce(terms))
+        vi = self.descriptor.modulus_var
+        high = [e for e in terms if vi is not None and e[vi] >= self.bounds[vi]]
+        a = self.encode_digits(self._reduce({e: c for e, c in terms.items() if e not in high}))
+        for exps in high:
+            t = self._reduce({tuple(int(j == vi) for j in range(len(exps))): 1})
+            rest = self._reduce({exps[:vi] + (0,) + exps[vi + 1 :]: terms[exps]})
+            term = self.mul(self.encode_digits(rest), self.pow(self.encode_digits(t), exps[vi]))
+            a = self.add(a, term)
+        return a
+
+    def span_bits(self, values, base_bits):
+        # the monomials span R over Z_m, so Rv is the Z_m-span of the mono*v
+        gens = {self.mul(self.m**k, v) for k in range(len(self.monomials)) for v in values}
+        members = list(_indices(base_bits))
+        bits = base_bits
+        for g in gens:
+            if bits >> g & 1:
+                continue
+            for a in members:  # grows while walked, so this closes under +g
+                s = self.add(a, g)
+                if not bits >> s & 1:
+                    bits |= 1 << s
+                    members.append(s)
+        return bits
+
+    @functools.cached_property
+    def maximal_generators(self) -> tuple[tuple[int, ...], ...]:
+        """The (p, g(t), x..) for each prime p of m and monic irreducible g | f mod p.
+
+        In Z_m[t, x..]/(f(t), x^a..) the x.. are nilpotent and R/(p, x..) is
+        F_p[t]/(f mod p), so these are the maximal ideals, by prime, then by
+        factor; with no modulus they are the (p, x..).
+        """
+        desc = self.descriptor
+        names, t = desc.variables, desc.modulus_var
+        nil = [v for i, v in enumerate(names) if i != t]
+        labels = []
+        for p in prime_factorization(self.m):
+            if t is None:
+                labels.append([str(p), *nil])
+                continue
+            for g in monic_irreducible_factors(desc.modulus_coeffs, p):
+                g_of_t = poly_string((names[t],), {(d,): c for d, c in enumerate(g)})
+                labels.append([str(p), g_of_t, *nil])
+        return tuple(tuple(map(self.parse_label, gens)) for gens in labels)
 
 
 _RING_CACHE: dict[RingDescriptor, Ring] = {}

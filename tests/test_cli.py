@@ -168,6 +168,10 @@ def test_exit_code_on_stray_plus_in_ideal(capsys):
 def test_exit_code_on_carrier_cap(capsys):
     code, _, err = run_cli(capsys, "build", "--ring", "Z70000")
     assert code == 2
+    # a modulus degree past the cap is refused before its coefficients are made
+    code, _, err = run_cli(capsys, "radical", "--ring", "Z2[t]/(t^1000000000000000+1)")
+    assert code == 2
+    assert "exceeds 65536" in err
 
 
 def test_exit_code_on_unknown_flag(capsys):

@@ -15,8 +15,8 @@ from ringgraphs import clear_caches, graphs, rings
 from ringgraphs.analysis import complete_multipartite_parts, is_complete
 from ringgraphs.export import graph_to_dot, graph_to_json, graph_to_table, load_graph_json
 from ringgraphs.graphs import COZERO, EXTENDED, ZERO, build_level, later_neighbours
-from ringgraphs.ideals import set_bit_items, zero_ideal
-from ringgraphs.rings import ParseError, build_ring, descriptor_string
+from ringgraphs.ideals import zero_ideal
+from ringgraphs.rings import ParseError, build_ring, descriptor_string, set_bit_items
 
 PINS = Path(__file__).parents[1] / "perfbench" / "pins.json"
 

@@ -34,11 +34,9 @@ from ringgraphs.graphs import (
 )
 from ringgraphs.claims import GRID_RINGS, grid_ideals
 from ringgraphs.ideals import (
-    UnsupportedRingFamily,
     ideal_sum,
     is_maximal,
     jacobson_radical,
-    maximal_generators,
     maximal_ideals,
     principal_plus,
     span,
@@ -475,7 +473,7 @@ def test_trajectory_spans_once_per_orbit(monkeypatch):
         frozenset(ring.add(ring.mul(u, v), j) for u in units for j in J.members())
         for v in vertex_set(ring, J)
     }
-    maxima = len(maximal_generators(ring))
+    maxima = len(ring.maximal_generators)
     budget = sum(len(power_trajectory(ring, J, min(o)).ideals) + 1 + maxima for o in orbits)
     calls = []
 
@@ -510,7 +508,7 @@ def test_trajectories_multiply_by_no_unit(monkeypatch, name, ideal, bound):
     ring = build_ring(name)
     J = span_from_labels(ring, ideal)
     units = ring.unit_bits() & ~(1 << ring.one)
-    maximal_generators(ring)
+    ring.maximal_generators
     ctx = LevelContext(ring, J)
     ctx.vertex_bits()
     by_unit = []
@@ -601,10 +599,7 @@ def test_vertex_set_nonempty_iff_proper_non_maximal():
     # and that element is a vertex; the claims' standing check relies on this
     for name, ring in small_rings():
         ideals = [span_from_labels(ring, label) for label in grid_ideals(name)]
-        try:
-            ideals += maximal_ideals(ring)
-        except UnsupportedRingFamily:
-            pass
+        ideals += maximal_ideals(ring)
         ideals.append(unit_ideal(ring))
         for J in ideals:
             assert bool(vertex_set(ring, J)) == (J.is_proper() and not is_maximal(J))

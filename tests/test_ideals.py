@@ -17,13 +17,11 @@ from oracles import (
     naive_vertices,
 )
 from ringgraphs.ideals import (
-    UnsupportedRingFamily,
     ideal_sum,
     is_maximal,
     is_prime,
     is_semiprime,
     jacobson_radical,
-    maximal_generators,
     maximal_ideals,
     principal_plus,
     span,
@@ -32,7 +30,7 @@ from ringgraphs.ideals import (
 )
 from ringgraphs.graphs import vertex_set
 from ringgraphs.rings import PolyQuotientRing, build_ring
-from test_graphs import ORBIT_RINGS, SPLIT_MODULUS_RINGS
+from test_graphs import NONLOCAL_RINGS, ORBIT_RINGS, SPLIT_MODULUS_RINGS
 from test_rings import PRODUCT_RINGS
 
 ORACLE_RINGS = [
@@ -218,8 +216,11 @@ def test_maximal_ideals_examples():
     p = build_ring("Z2xZ2")
     pulled = [ {p.label(x) for x in m.members()} for m in maximal_ideals(p)]
     assert pulled == [{"(0,0)", "(0,1)"}, {"(0,0)", "(1,0)"}]
-    with pytest.raises(UnsupportedRingFamily):
-        maximal_ideals(build_ring("Z4[x]/(x^2)"))
+    # Z4[x]/(x^2) is local, with maximal ideal (2, x): a + bx with a even,
+    # and a + bx has index a + 4b
+    assert [members(m) for m in maximal_ideals(build_ring("Z4[x]/(x^2)"))] == [
+        set(range(0, 16, 2))
+    ]
 
 
 @pytest.mark.parametrize(
@@ -238,7 +239,11 @@ def test_maximal_ideals_of_products_by_factor_then_prime(name, primes):
     ]
 
 
-@pytest.mark.parametrize("name", ["Z6", "Z12", "Z18", "Z20", "Z36", "Z4xZ9"])
+@pytest.mark.parametrize(
+    "name",
+    dict.fromkeys(["Z6", "Z12", "Z18", "Z20", "Z36", "Z4xZ9", *NONLOCAL_RINGS,
+                   *SPLIT_MODULUS_RINGS]),
+)
 def test_maximal_ideals_pass_is_maximal_and_radical_intersection(name):
     ring = build_ring(name)
     maxima = maximal_ideals(ring)
@@ -255,8 +260,8 @@ def test_maximal_generators_span_every_maximal_ideal(name):
     # it), no two span the same ideal, and by prime avoidance their union
     # being every non-unit means no maximal ideal is missing
     ring = build_ring(name)
-    spans = [closure_span(ring, gens) for gens in maximal_generators(ring)]
-    for gens, members in zip(maximal_generators(ring), spans):
+    spans = [closure_span(ring, gens) for gens in ring.maximal_generators]
+    for gens, members in zip(ring.maximal_generators, spans):
         assert members == set(span(ring, gens).members()), (name, gens)
         assert len(members) < ring.size, (name, gens)
         assert naive_vertices(ring, members, "cozero") == [], (name, gens)
@@ -282,7 +287,7 @@ def test_maximal_generators_span_every_maximal_ideal(name):
     ],
 )
 def test_maximal_ideal_count_of_quotient_rings(name, count):
-    assert len(maximal_generators(build_ring(name))) == count
+    assert len(build_ring(name).maximal_generators) == count
 
 
 @st.composite
@@ -314,7 +319,7 @@ def test_quotient_structure_matches_referees(ring, data):
     assert ring.unit_bits() == sum(1 << x for x in naive_units(ring))
     assert ring.nilpotent_bits() == sum(1 << x for x in naive_nilpotents(ring))
     g = data.draw(st.integers(0, ring.size - 1))
-    maxima = [span(ring, gens) for gens in maximal_generators(ring)]
+    maxima = [span(ring, gens) for gens in ring.maximal_generators]
     for J in [zero_ideal(ring), span(ring, [g]), *maxima]:
         j_members = set(J.members())
         verts = naive_vertices(ring, j_members, "cozero")

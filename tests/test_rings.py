@@ -1,6 +1,7 @@
 """Ring kernel: descriptors, arithmetic, units, power sequences."""
 
 import itertools
+import signal
 
 import pytest
 from hypothesis import given, strategies as st
@@ -74,6 +75,12 @@ def test_descriptor_errors():
         parse_ring("Z65537")
     with pytest.raises(CarrierTooLarge):
         parse_ring("Z2[x,y]/(x^9,y^9)")
+    # the modulus degree is checked before its coefficient list is allocated
+    with pytest.raises(CarrierTooLarge):
+        parse_ring("Z2[t]/(t^17+1)")
+    with pytest.raises(CarrierTooLarge):
+        parse_ring("Z2[t]/(t^1000000000000000+1)")
+    assert parse_ring("Z2[t]/(t^16+1)").exponents == (16,)
     with pytest.raises(NonMonicModulus):
         parse_ring("Z4[t]/(2*t^2+1)")
     with pytest.raises(ParseError):
@@ -205,6 +212,32 @@ def test_parse_label_reduces_high_powers():
     # t^3 = 1 in this field of four elements, so t^200 = t^2
     ring = build_ring("Z2[t]/(t^2+t+1)")
     assert ring.parse_label("t^200") == ring.parse_label("t^2")
+
+
+def _parse_within_5s(ring, text):
+    """``ring.parse_label(text)``, failing instead of hanging past 5 s."""
+
+    def too_slow(*_):
+        raise TimeoutError(f"parsing {text!r} took over 5 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        return ring.parse_label(text)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_parse_label_takes_huge_powers_in_log_time():
+    # reducing t^e by the modulus one degree at a time would take e steps
+    e = 10**18
+    field = build_ring("Z2[t]/(t^2+t+1)")
+    assert _parse_within_5s(field, f"t^{e}") == field.pow(field.parse_label("t"), e)
+    ring = build_ring("Z2[x,t]/(x^2,t^3+1)")
+    x, t = ring.parse_label("x"), ring.parse_label("t")
+    expected = ring.add(ring.add(ring.mul(x, ring.pow(t, e)), ring.pow(t, e + 1)), ring.one)
+    assert _parse_within_5s(ring, f"x*t^{e}+t^{e + 1}+1") == expected
 
 
 @pytest.mark.parametrize(
