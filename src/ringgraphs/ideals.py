@@ -89,7 +89,7 @@ def _intern(ring: Ring, bits: int) -> IdealSet:
 # ---------------------------------------------------------------------------
 
 def span(ring: Ring, generators: Iterable[int]) -> IdealSet:
-    """Smallest ideal containing the generators, interned; ``Ring.span_bits``."""
+    """Smallest ideal containing the generators, interned, spanned by ``Ring.span_bits``."""
     return _intern(ring, ring.span_bits(tuple(generators), 1))
 
 
