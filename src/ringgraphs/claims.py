@@ -781,7 +781,7 @@ def load_grid(path: str) -> list[ClaimInstance]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also bad UTF-8 and numbers past the digit limit
             raise ParseError(f"grid file is not valid JSON: {exc}") from exc
     if not isinstance(data, list):
         raise ParseError("grid file must be a JSON array of instances")

@@ -3,7 +3,9 @@
 Verbs map straight onto the library: build/zdg materialize one level graph,
 analyze reports its shape, stabilize prints the sharp stabilization index,
 radical and xi expose the ideal-theoretic helpers, verify runs a claim grid,
-and export re-emits a saved graph JSON in another format.
+and export re-emits a saved graph JSON in another format. A verb imports the
+claim harness, conilpotency or shape analysis in its own handler, so the other
+verbs never load them.
 
 Exit codes: 0 success, 1 a verify run disagreed with a pinned expectation,
 2 malformed input (grammar, carrier cap, a multivariate modulus, bad files).
@@ -16,8 +18,7 @@ import json
 import sys
 from typing import Optional
 
-from . import analysis, claims, export
-from .conilpotency import conilpotency_record
+from . import export
 from .graphs import COZERO, EXTENDED, ZERO, build_level, minimal_stabilization_index, stabilization_bound
 from .ideals import jacobson_radical, span_from_labels
 from .rings import ParseError, RingError, build_ring, descriptor_string
@@ -128,6 +129,7 @@ def _cmd_build(args, kind: Optional[str] = None) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from . import analysis
     ring = build_ring(args.ring)
     J = span_from_labels(ring, args.ideal)
     g = build_level(ring, J, _parse_level(args.i), args.kind)
@@ -204,6 +206,7 @@ def _cmd_radical(args) -> int:
 
 
 def _cmd_xi(args) -> int:
+    from .conilpotency import conilpotency_record
     ring = build_ring(args.ring)
     J = span_from_labels(ring, args.ideal)
     records = [conilpotency_record(ring, J, x) for x in range(ring.size)]
@@ -229,6 +232,7 @@ def _cmd_xi(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import claims
     if args.grid == "default":
         instances = claims.default_grid()
     else:

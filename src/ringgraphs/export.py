@@ -106,7 +106,7 @@ def load_graph_json(text: Union[str, dict]) -> GraphLevel:
     """
     try:
         data = json.loads(text) if isinstance(text, str) else text
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also numbers past the digit limit
         raise ParseError(f"graph JSON is malformed: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError("graph JSON must be an object")

@@ -68,6 +68,14 @@ class ParseError(RingError):
     """Input does not match the descriptor or element-label grammar."""
 
 
+def _parse_int(digits: str, error: type[RingError] = ParseError) -> int:
+    """``int(digits)``, raising ``error`` past Python's integer-string limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise error(f"{len(digits.lstrip('-'))}-digit number exceeds the supported size") from None
+
+
 # ---------------------------------------------------------------------------
 # Descriptors
 # ---------------------------------------------------------------------------
@@ -190,11 +198,11 @@ def parse_poly(text: str, variables: tuple[str, ...]) -> dict[tuple[int, ...], i
             if not factor:
                 raise ParseError(f"empty factor in {text!r}")
             if factor.isdigit():
-                coeff *= int(factor)
+                coeff *= _parse_int(factor)
                 continue
             m = _POWER_RE.match(factor)
             if m:
-                name, e = m.group(1), int(m.group(2))
+                name, e = m.group(1), _parse_int(m.group(2))
             elif _VAR_RE.match(factor):
                 name, e = factor, 1
             else:
@@ -216,7 +224,7 @@ def parse_ring(text: str) -> RingDescriptor:
     if m:
         zn, vars_part, rel_part = m.groups()
         base = _ZN_RE.match(zn)
-        modulus = int(base.group(1))
+        modulus = _parse_int(base.group(1), CarrierTooLarge)
         if modulus < 2:
             raise ZeroModulus(f"modulus must be >= 2 in {text!r}")
         variables = tuple(v for v in vars_part.split(","))
@@ -236,7 +244,7 @@ def parse_ring(text: str) -> RingDescriptor:
         for rel in relators:
             pm = _POWER_RE.match(rel)
             if pm and pm.group(1) in variables:
-                name, e = pm.group(1), int(pm.group(2))
+                name, e = pm.group(1), _parse_int(pm.group(2), CarrierTooLarge)
                 if name in exponents:
                     raise ParseError(f"two relators for {name!r}")
                 if e < 1:
@@ -287,7 +295,7 @@ def parse_ring(text: str) -> RingDescriptor:
         zm = _ZN_RE.match(p)
         if not zm:
             raise ParseError(f"bad ring term {p!r} in {text!r}")
-        n = int(zm.group(1))
+        n = _parse_int(zm.group(1), CarrierTooLarge)
         if n < 2:
             raise ZeroModulus(f"modulus must be >= 2 in {text!r}")
         descs.append(ModularRing(n))
@@ -505,7 +513,7 @@ class _ModularRingOps(Ring):
         s = text.strip()
         if not re.fullmatch(r"-?\d+", s):
             raise ParseError(f"bad element label {text!r} for Z{self.n}")
-        return int(s) % self.n
+        return _parse_int(s) % self.n
 
     def span_bits(self, values, base_bits):
         # ideals of Z_n are dZ_n with d | n; J's least nonzero member generates J

@@ -174,6 +174,17 @@ def test_exit_code_on_carrier_cap(capsys):
     assert "exceeds 65536" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("radical", "--ring", "Z" + "9" * 5000),
+    ("build", "--ring", "Z12", "--ideal", "9" * 5000),
+    ("build", "--ring", "Z2[x]/(x^2)", "--ideal", "x^" + "9" * 5000),
+], ids=["ring", "zn-label", "poly-exponent"])
+def test_exit_code_on_numbers_past_the_digit_limit(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "5000-digit number" in err
+
+
 def test_exit_code_on_unknown_flag(capsys):
     assert main(["build", "--ring", "Z12", "--nope"]) == 2
 
@@ -269,14 +280,20 @@ def test_internal_value_error_is_not_reported_as_bad_input(monkeypatch, capsys):
         [{"claim": "C-TRI", "ring": "Z12", "expected": "VERIFEID"}],
         {"claim": "C-EMPTY", "ring": "Z27"},
         "[{",
+        '[{"claim": "C-EMPTY", "ring": "Z27", "params": {"i": ' + "9" * 5000 + "}}]",
+        b'[{"claim": "C-EMPTY", "ring": "Z\xff27"}]',
     ],
     ids=["unknown-claim", "no-claim", "level-not-int", "n-zero", "ideal-not-string",
-         "ring-not-string", "expected-misspelled", "not-a-list", "not-json"],
+         "ring-not-string", "expected-misspelled", "not-a-list", "not-json",
+         "level-past-digit-limit", "not-utf-8"],
 )
 def test_verify_malformed_grid_exits_2(tmp_path, capsys, payload):
     path = tmp_path / "grid.json"
-    text = payload if isinstance(payload, str) else json.dumps(payload)
-    path.write_text(text, encoding="utf-8")
+    if isinstance(payload, bytes):
+        path.write_bytes(payload)
+    else:
+        text = payload if isinstance(payload, str) else json.dumps(payload)
+        path.write_text(text, encoding="utf-8")
     code, _, err = run_cli(capsys, "verify", "--grid", str(path))
     assert code == 2
     assert "error" in err
@@ -302,10 +319,11 @@ GOOD_GRAPH = {"ring": "Z12", "ideal": [], "vertices": ["2", "3", "4", "9"],
     {"i": 2.7},
     {"i": True},
     {"edges": [["2", "3"], ["2", "14"]]},
+    json.dumps(GOOD_GRAPH).replace('"i": 1', '"i": ' + "9" * 5000),
 ], ids=["not-json", "level-not-int", "three-ended-edge", "missing-edges", "string-edge",
         "unknown-kind", "duplicate-vertex", "non-string-ideal-label", "non-string-vertex",
         "non-string-ring", "loop-edge", "level-zero", "level-fraction", "level-bool",
-        "loop-edge-spelled-otherwise"])
+        "loop-edge-spelled-otherwise", "level-past-digit-limit"])
 def test_export_malformed_graph_exits_2(tmp_path, capsys, text):
     if isinstance(text, dict):
         text = json.dumps({**GOOD_GRAPH, **text})

@@ -92,7 +92,19 @@ def test_descriptor_errors():
     # a sign with no term after it, and an empty item in an element list
     with pytest.raises(ParseError):
         parse_ring("Z2[t]/(t^2+t+)")
+    # a numeral past Python's integer-string limit is bad input, not a ValueError
+    big = "9" * 5000
+    for text in (f"Z{big}", f"Z3xZ{big}", f"Z{big}[x]/(x^2)", f"Z2[x]/(x^{big})"):
+        with pytest.raises(CarrierTooLarge):
+            parse_ring(text)
+    with pytest.raises(ParseError):
+        parse_ring(f"Z2[t]/(t^2+{big}*t+1)")
+    with pytest.raises(ParseError):
+        build_ring("Z12").parse_label(big)
     ring = build_ring("Z5[x]/(x^3)")
+    for text in (f"x^{big}", f"{big}*x", f"-{big}"):
+        with pytest.raises(ParseError):
+            ring.parse_label(text)
     for text in ("x+", "x++1", "x-", "+", "++x"):
         with pytest.raises(ParseError):
             ring.parse_label(text)
