@@ -23,7 +23,7 @@ from .graphs import COZERO, EXTENDED, ZERO, build_level, minimal_stabilization_i
 from .ideals import jacobson_radical, span_from_labels
 from .rings import ParseError, RingError, build_ring, descriptor_string
 
-_INPUT_ERRORS = (RingError, OSError)
+_INPUT_ERRORS = (RingError, OSError, UnicodeDecodeError)  # the last: a file not in UTF-8
 
 
 def _parse_level(text: str):

@@ -26,11 +26,11 @@ x^n y^m lies in J iff the product (x^nR + J)(y^mR + J) lies in J.
 Adjacency at level i therefore depends on x only through its signature, the
 ideals x^mR + J for m <= i, and vertices sharing a signature are twins. A
 level graph is a blow-up of the small graph on signature classes (the
-compressed zero-divisor graph of Mulay and of Anderson--LaGrange), so
-``build_level`` decides the relation once per unordered class pair and
-expands each row from its class's neighbour mask. A class can be adjacent to
-itself in the zero kind (x^n x^m in J), never in the cozero kind, because the
-ideals of one chain are pairwise comparable.
+compressed zero-divisor graph of Mulay and of Anderson--LaGrange). As some
+m, n <= i suffice, each class pair has a first level F, the least max(m, n)
+over its related ideal pairs: level i is the threshold F <= i, and the sharp
+index is the largest F. A class can be adjacent to itself in the zero kind
+(x^n x^m in J), never in the cozero kind: one chain's ideals are comparable.
 
 The per-element ideals x^mR + J form a descending chain that is constant from
 its first repeat: x^{m+1} = x^m * x gives the inclusion, and if
@@ -59,6 +59,8 @@ chain J (x in J) or R (x a unit modulo J) and needs no span.
 from __future__ import annotations
 
 import threading
+from functools import lru_cache
+from itertools import combinations_with_replacement, product
 from typing import Iterator, NamedTuple, Optional, Sequence, TypeVar, Union
 
 from .ideals import IdealSet, ideal_sum, ideal_sum_bits, immutable, nonunit_bits, unit_ideal
@@ -188,6 +190,7 @@ class LevelContext:
         self._vertex_bits: Optional[int] = None
         self._vertices: Optional[tuple[int, ...]] = None
         self._classes: Optional[tuple] = None
+        self._first: dict[str, list[list[Optional[int]]]] = {}
         self._graphs: dict[tuple[int, str], GraphLevel] = {}
 
     # vertex sets ---------------------------------------------------------
@@ -263,29 +266,48 @@ class LevelContext:
             raise ValueError(f"level must be an int >= 1 or {EXTENDED!r}, not {i!r}")
         return i
 
-    def related(self, kind: str, ta: PowerTrajectory, tb: PowerTrajectory, i: int) -> bool:
-        """Some ideal of one chain's first i is related to some of the other's.
+    def first_level(self, kind: str, ta: PowerTrajectory, tb: PowerTrajectory) -> Optional[int]:
+        """The least max(m, n) over the related ideal pairs of two chains, or None.
 
         The relation is incomparability for the cozero kind; for the zero
         kind, both ideals differ from J and their generating powers multiply
-        into J.
+        into J. Only a chain's stable ideal can be J, and a zero pair stays
+        related along both chains until then (p x^k q y^l lies in J with pq),
+        so level d needs only the d-th powers, or each chain's last before J.
         """
+        A, B = ta.ideals, tb.ideals
         if kind == COZERO:
-            return any(not a.comparable(b) for a in ta.ideals[:i] for b in tb.ideals[:i])
+            pairs = _pairs_by_level(len(A), len(B))
+            return next((max(m, n) + 1 for m, n in pairs if not A[m].comparable(B[n])), None)
         J, mul = self.J, self.ring.mul
-        return any(
-            J.contains(mul(p, q))
-            for a, p in zip(ta.ideals[:i], ta.powers)
-            if a is not J
-            for b, q in zip(tb.ideals[:i], tb.powers)
-            if b is not J
-        )
+        P, Q = (t.powers[: len(t.ideals) - (t.ideals[-1] is J)] for t in (ta, tb))
+        return next((d for d in range(1, max(len(P), len(Q)) + 1)
+                     if J.contains(mul(P[min(d, len(P)) - 1], Q[min(d, len(Q)) - 1]))), None)
+
+    def first_levels(self, kind: str) -> list[list[Optional[int]]]:
+        """The matrix F of ``first_level`` over pairs of twin classes, cached per kind."""
+        F = self._first.get(kind)
+        if F is None:  # fixed by (ring, J, kind), so racing fills agree
+            _, trajs, members = self.classes()
+            F = [[None] * len(trajs) for _ in trajs]
+            for a, b in combinations_with_replacement(range(len(trajs)), 2):
+                if a != b or members[a] & (members[a] - 1):  # a lone vertex has no pair
+                    F[a][b] = F[b][a] = self.first_level(kind, trajs[a], trajs[b])
+            F = self._first.setdefault(kind, F)
+        return F
 
     def adjacent(self, x: int, y: int, i: int, kind: str) -> bool:
-        return x != y and self.related(kind, self.trajectory(x), self.trajectory(y), i)
+        first = None if x == y else self.first_level(kind, self.trajectory(x), self.trajectory(y))
+        return first is not None and first <= i
 
     def stabilization_bound(self) -> int:
         return max((len(self.trajectory(x).ideals) for x in self.vertices()), default=1)
+
+
+@lru_cache(maxsize=None)
+def _pairs_by_level(la: int, lb: int) -> list[tuple[int, int]]:
+    """The index pairs (m, n) of two chains of these lengths, by max(m, n)."""
+    return sorted(product(range(la), range(lb)), key=max)
 
 
 _CONTEXTS: dict[tuple[int, int], LevelContext] = {}
@@ -357,14 +379,11 @@ def adjacent(ring: Ring, J: IdealSet, x: int, y: int, i: Level, kind: str = COZE
 
 
 def _level_rows(ctx: LevelContext, lvl: int, kind: str) -> Iterator[int]:
-    """The adjacency rows of one level, each twin class pair decided once."""
-    class_of, trajs, members = ctx.classes()
-    neighbours = [0] * len(trajs)
-    for a, ta in enumerate(trajs):
-        for b in range(a, len(trajs)):
-            if ctx.related(kind, ta, trajs[b], lvl):
-                neighbours[a] |= members[b]
-                neighbours[b] |= members[a]
+    """The adjacency rows of one level: the threshold F <= lvl, expanded by class."""
+    class_of, _, members = ctx.classes()
+    # the member masks are disjoint, so their sum is their union
+    neighbours = [sum(mask for mask, f in zip(members, row) if f is not None and f <= lvl)
+                  for row in ctx.first_levels(kind)]
     return (neighbours[c] & ~(1 << k) for k, c in enumerate(class_of))
 
 
@@ -375,15 +394,7 @@ def build_level(ring: Ring, J: IdealSet, i: Level, kind: str = COZERO) -> GraphL
     lvl = ctx.level(i)
     concrete = ctx._graphs.get((lvl, kind))
     if concrete is None:
-        concrete = GraphLevel(
-            ring=ring,
-            ideal=J,
-            kind=kind,
-            level=lvl,
-            requested_extended=False,
-            vertices=verts,
-            rows=tuple(_level_rows(ctx, lvl, kind)),
-        )
+        concrete = GraphLevel(ring, J, kind, lvl, False, verts, tuple(_level_rows(ctx, lvl, kind)))
         concrete = ctx._graphs.setdefault((lvl, kind), concrete)
     if i != EXTENDED:
         return concrete
@@ -395,14 +406,9 @@ def build_level(ring: Ring, J: IdealSet, i: Level, kind: str = COZERO) -> GraphL
 def minimal_stabilization_index(ring: Ring, J: IdealSet, kind: str = COZERO) -> int:
     """Smallest level whose graph already equals the stabilized limit.
 
-    Only the limit is built and cached; each lower level's rows are compared
-    with it as they are made, and none of them is kept.
+    That is the largest finite first level F of a class pair, or 1 if there
+    is none; no level is built.
     """
-    limit = build_level(ring, J, stabilization_bound(ring, J), kind)
-    ctx = level_context(ring, J)
-    sharp = limit.level
-    while sharp > 1 and all(
-        row == lim for row, lim in zip(_level_rows(ctx, sharp - 1, kind), limit.rows)
-    ):
-        sharp -= 1
-    return sharp
+    _check_kind(kind)
+    F = level_context(ring, J).first_levels(kind)
+    return max((f for row in F for f in row if f is not None), default=1)

@@ -129,6 +129,8 @@ def _validate_descriptor(desc: RingDescriptor) -> int:
             raise ParseError("relator exponents must be >= 1")
         if (desc.modulus_var is None) != (desc.modulus_coeffs is None):
             raise ParseError("modulus variable and coefficients must come together")
+        if desc.modulus_var not in (None, *range(len(desc.variables))):
+            raise ParseError(f"modulus variable {desc.modulus_var!r} names no variable")
         if desc.modulus_coeffs is not None:
             d = desc.exponents[desc.modulus_var]
             if len(desc.modulus_coeffs) != d + 1:
@@ -231,8 +233,6 @@ def parse_ring(text: str) -> RingDescriptor:
         for v in variables:
             if not _VAR_RE.match(v):
                 raise ParseError(f"bad variable name {v!r} in {text!r}")
-        if len(set(variables)) != len(variables):
-            raise ParseError(f"duplicate variable in {text!r}")
         relators = _split_top_level(rel_part)
         if len(relators) != len(variables):
             raise ParseError(
@@ -247,8 +247,6 @@ def parse_ring(text: str) -> RingDescriptor:
                 name, e = pm.group(1), _parse_int(pm.group(2), CarrierTooLarge)
                 if name in exponents:
                     raise ParseError(f"two relators for {name!r}")
-                if e < 1:
-                    raise ParseError(f"relator exponent must be >= 1 in {rel!r}")
                 exponents[name] = e
                 continue
             # a non-monomial relator is the univariate modulus polynomial
@@ -270,8 +268,6 @@ def parse_ring(text: str) -> RingDescriptor:
             coeffs = [0] * (degree + 1)
             for exp, c in terms.items():
                 coeffs[exp[vi]] = (coeffs[exp[vi]] + c) % modulus
-            if coeffs[-1] != 1:
-                raise NonMonicModulus(f"modulus {rel!r} is not monic over Z{modulus}")
             modulus_var = vi
             exponents[name] = degree
             modulus_coeffs = tuple(coeffs)
@@ -295,10 +291,7 @@ def parse_ring(text: str) -> RingDescriptor:
         zm = _ZN_RE.match(p)
         if not zm:
             raise ParseError(f"bad ring term {p!r} in {text!r}")
-        n = _parse_int(zm.group(1), CarrierTooLarge)
-        if n < 2:
-            raise ZeroModulus(f"modulus must be >= 2 in {text!r}")
-        descs.append(ModularRing(n))
+        descs.append(ModularRing(_parse_int(zm.group(1), CarrierTooLarge)))
     if len(descs) == 1:
         desc = descs[0]
     else:

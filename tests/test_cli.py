@@ -320,15 +320,19 @@ GOOD_GRAPH = {"ring": "Z12", "ideal": [], "vertices": ["2", "3", "4", "9"],
     {"i": True},
     {"edges": [["2", "3"], ["2", "14"]]},
     json.dumps(GOOD_GRAPH).replace('"i": 1', '"i": ' + "9" * 5000),
+    b"\xff\xfe{",
 ], ids=["not-json", "level-not-int", "three-ended-edge", "missing-edges", "string-edge",
         "unknown-kind", "duplicate-vertex", "non-string-ideal-label", "non-string-vertex",
         "non-string-ring", "loop-edge", "level-zero", "level-fraction", "level-bool",
-        "loop-edge-spelled-otherwise", "level-past-digit-limit"])
+        "loop-edge-spelled-otherwise", "level-past-digit-limit", "not-utf-8"])
 def test_export_malformed_graph_exits_2(tmp_path, capsys, text):
     if isinstance(text, dict):
         text = json.dumps({**GOOD_GRAPH, **text})
     path = tmp_path / "g.json"
-    path.write_text(text, encoding="utf-8")
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8")
     code, _, err = run_cli(capsys, "export", "--in", str(path))
     assert code == 2
     assert "error" in err

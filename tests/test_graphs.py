@@ -145,15 +145,15 @@ def test_minimal_stabilization_index_examples():
         assert minimal_stabilization_index(ring, J0) == 1
 
 
-def test_minimal_stabilization_index_caches_only_the_bound():
-    # the lower levels are compared with the limit as they are made, not kept
+def test_minimal_stabilization_index_builds_no_level():
+    # the sharp index is read off the first-level matrix, so no level's rows are made
     ring, J = zero_of("Z2[x,y]/(x^3,y^2)")
     ctx = graphs.level_context(ring, J)
     bound = stabilization_bound(ring, J)
     for kind, sharp in ((COZERO, 2), (ZERO, 3)):
         ctx._graphs.clear()
         assert minimal_stabilization_index(ring, J, kind) == sharp < bound
-        assert list(ctx._graphs) == [(bound, kind)]
+        assert ctx._graphs == {}
 
 
 def test_stabilization_indices_match_naive_edge_referee():
@@ -174,6 +174,27 @@ def test_stabilization_indices_match_naive_edge_referee():
                 assert minimal_stabilization_index(ring, J, kind) == sharp, case
                 assert sharp <= bound < top, case
                 assert naive_edges(ring, j_members, bound, kind) == limit, case
+
+
+def test_first_levels_match_naive_edge_referee():
+    # F of a vertex pair's classes is the least level whose naive edges hold
+    # the pair, or None if no level up to |R|.bit_length() (past every chain) does
+    for name in ORACLE_RINGS:
+        ring = build_ring(name)
+        top = ring.size.bit_length()
+        for J in {I.bits: I for I in (zero_ideal(ring), jacobson_radical(ring))}.values():
+            j_members = set(J.members())
+            ctx = graphs.level_context(ring, J)
+            class_of, _, members = ctx.classes()
+            verts = vertex_set(ring, J)
+            for kind in (COZERO, ZERO):
+                levels = [naive_edges(ring, j_members, i, kind) for i in range(1, top + 1)]
+                F = ctx.first_levels(kind)
+                # a class of one vertex holds no pair, so it adds no level
+                assert all(F[c][c] is None for c, mask in enumerate(members) if mask.bit_count() == 1)
+                for (a, x), (b, y) in itertools.combinations(enumerate(verts), 2):
+                    first = next((i for i, edges in enumerate(levels, 1) if (x, y) in edges), None)
+                    assert F[class_of[a]][class_of[b]] == first, (name, J.bits, kind, x, y)
 
 
 def test_level_one_matches_plain_membership_rule():
@@ -575,7 +596,7 @@ def test_trajectory_groups_are_the_unit_orbits(name):
 
 
 def test_sharp_index_groups_the_vertices_once(monkeypatch):
-    # each lower level reads the context's classes instead of regrouping
+    # the first-level matrix reads the context's classes, not each vertex per level
     ring, J = zero_of("Z2[x]/(x^9)")
     monkeypatch.setitem(graphs._CONTEXTS, (id(ring), J.bits), LevelContext(ring, J))
     n = len(vertex_set(ring, J))
@@ -589,9 +610,8 @@ def test_sharp_index_groups_the_vertices_once(monkeypatch):
 
     monkeypatch.setattr(LevelContext, "trajectory", counting)
     assert minimal_stabilization_index(ring, J) == 1
-    # the bound reads each vertex's chain once and the classes once more,
-    # however many of the nine levels are compared with the limit
-    assert len(calls) == 2 * n
+    # the classes read each vertex's chain once, and no level or bound reads more
+    assert len(calls) == n
 
 
 def test_vertex_set_nonempty_iff_proper_non_maximal():

@@ -10,6 +10,7 @@ from oracles import (
     closure_span,
     coset_set,
     linear_combinations_span,
+    naive_edges,
     naive_is_prime,
     naive_is_semiprime,
     naive_nilpotents,
@@ -28,8 +29,8 @@ from ringgraphs.ideals import (
     span_from_labels,
     zero_ideal,
 )
-from ringgraphs.graphs import vertex_set
-from ringgraphs.rings import PolyQuotientRing, build_ring
+from ringgraphs.graphs import COZERO, ZERO, build_level, stabilization_bound, vertex_set
+from ringgraphs.rings import PolyQuotientRing, ProductRing, build_ring
 from test_graphs import NONLOCAL_RINGS, ORBIT_RINGS, SPLIT_MODULUS_RINGS
 from test_rings import PRODUCT_RINGS
 
@@ -291,13 +292,13 @@ def test_maximal_ideal_count_of_quotient_rings(name, count):
 
 
 @st.composite
-def small_quotient_rings(draw):
-    """Z_m[t, x, y]/(f(t), x^a, y^b) of at most 256 elements, m in 2..12.
+def small_quotient_rings(draw, cap=256):
+    """Z_m[t, x, y]/(f(t), x^a, y^b) of at most ``cap`` elements, 2 <= m <= 12.
 
     At most one monic modulus f, of degree 1-3, and 0-2 nilpotent variables.
     """
-    m = draw(st.integers(2, 12))
-    slots = max(k for k in range(1, 9) if m**k <= 256)  # monomials that fit
+    m = draw(st.integers(2, min(12, cap)))
+    slots = max(k for k in range(1, 9) if m**k <= cap)  # monomials that fit
     degree = draw(st.integers(0, min(3, slots)))  # 0: no modulus
     used = max(degree, 1)
     exponents = []
@@ -326,6 +327,27 @@ def test_quotient_structure_matches_referees(ring, data):
         assert list(vertex_set(ring, J)) == verts
         assert is_maximal(J) == (len(j_members) < ring.size and not verts)
     assert all(is_maximal(m) for m in maxima)
+
+
+@given(
+    ring=st.one_of(
+        small_quotient_rings(cap=64),
+        st.tuples(small_quotient_rings(cap=8), small_quotient_rings(cap=8)).map(
+            lambda pair: build_ring(ProductRing(tuple(r.descriptor for r in pair)))
+        ),
+    ),
+    data=st.data(),
+)
+def test_random_ring_levels_match_naive_edges(ring, data):
+    # every level up to one past the bound, in both kinds, against the
+    # pairwise referee, on random quotient rings and products of two of them
+    g = data.draw(st.integers(0, ring.size - 1))
+    J = data.draw(st.sampled_from([zero_ideal(ring), span(ring, [g])]))
+    j_members = set(J.members())
+    for kind in (COZERO, ZERO):
+        for i in range(1, stabilization_bound(ring, J) + 2):
+            got = set(build_level(ring, J, i, kind).edges())
+            assert got == naive_edges(ring, j_members, i, kind), (ring.descriptor, J.bits, kind, i)
 
 
 @pytest.mark.parametrize("name", ORACLE_RINGS)

@@ -89,6 +89,10 @@ def test_descriptor_errors():
         parse_ring("badness")
     with pytest.raises(ParseError):
         parse_ring("Z4[t]/(s^2)")
+    # a modulus variable that names no variable; -1 would index from the end
+    for var in (-1, 5):
+        with pytest.raises(ParseError):
+            build_ring(PolyQuotientRing(2, ("t",), (2,), var, (1, 1, 1)))
     # a sign with no term after it, and an empty item in an element list
     with pytest.raises(ParseError):
         parse_ring("Z2[t]/(t^2+t+)")

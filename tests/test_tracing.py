@@ -46,3 +46,20 @@ def test_tracer_and_op_counter_install_and_restore():
     assert ops["rings.pow.calls"] >= 1 and ops["rings.mul.calls"] >= 2
     assert graphs.build_level is build_level
     assert graphs.LevelContext.__dict__["vertices"] is vertices
+
+
+def test_traced_sharp_index_builds_no_level(monkeypatch):
+    # a fresh context, so a level built here would count as a build_level miss
+    ring = rings.build_ring("Z24")
+    J = ideals.zero_ideal(ring)
+    monkeypatch.setitem(graphs._CONTEXTS, (id(ring), J.bits), graphs.LevelContext(ring, J))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert graphs.minimal_stabilization_index(ring, J) == 3
+        layers = tracer.metrics(wall_s=1.0)
+    finally:
+        tracer.restore()
+    assert tracer.calls["graphs.minimal_stabilization_index"] == 1
+    assert tracer.extra["graphs.build_level.misses"] == 0
+    assert layers["graphs.build_level.calls"] == 0
