@@ -25,6 +25,9 @@ from .rings import ParseError, RingError, build_ring, descriptor_string
 
 _INPUT_ERRORS = (RingError, OSError, UnicodeDecodeError)  # the last: a file not in UTF-8
 
+# the graph writers of build, zdg and export, by --format
+_WRITERS = {"dot": export.graph_to_dot, "json": export.graph_to_json, "table": export.graph_to_table}
+
 
 def _parse_level(text: str):
     if text.lower() in ("ext", "extended"):
@@ -55,35 +58,41 @@ def _build_parser() -> argparse.ArgumentParser:
     p_build = subs.add_parser("build", help="build one level graph and export it")
     _add_common(p_build)
     p_build.add_argument("--i", default="1", help="level (integer >= 1) or 'ext'")
-    p_build.add_argument("--format", choices=["dot", "json", "table"], default="table")
+    p_build.add_argument("--format", choices=list(_WRITERS), default="table")
     p_build.add_argument("--out", default=None)
+    p_build.set_defaults(run=_cmd_build)
 
     p_zdg = subs.add_parser("zdg", help="build the zero-divisor variant of the graph")
     _add_common(p_zdg, kind_flag=False)
     p_zdg.add_argument("--i", default="1", help="level (integer >= 1) or 'ext'")
-    p_zdg.add_argument("--format", choices=["dot", "json", "table"], default="table")
+    p_zdg.add_argument("--format", choices=list(_WRITERS), default="table")
     p_zdg.add_argument("--out", default=None)
+    p_zdg.set_defaults(run=_cmd_build, kind=ZERO)
 
     p_an = subs.add_parser("analyze", help="shape predicates of one level graph")
     _add_common(p_an)
     p_an.add_argument("--i", default="1")
     p_an.add_argument("--format", choices=["json", "table"], default="table")
     p_an.add_argument("--out", default=None)
+    p_an.set_defaults(run=_cmd_analyze)
 
     p_st = subs.add_parser("stabilize", help="print the sharp stabilization index")
     _add_common(p_st)
     p_st.add_argument("--format", choices=["json", "table"], default="table")
     p_st.add_argument("--out", default=None)
+    p_st.set_defaults(run=_cmd_stabilize)
 
     p_rad = subs.add_parser("radical", help="print the Jacobson radical")
     p_rad.add_argument("--ring", required=True)
     p_rad.add_argument("--format", choices=["json", "table"], default="table")
     p_rad.add_argument("--out", default=None)
+    p_rad.set_defaults(run=_cmd_radical)
 
     p_xi = subs.add_parser("xi", help="conilpotency indices relative to the ideal")
     _add_common(p_xi, kind_flag=False)
     p_xi.add_argument("--format", choices=["json", "table"], default="table")
     p_xi.add_argument("--out", default=None)
+    p_xi.set_defaults(run=_cmd_xi)
 
     p_ver = subs.add_parser("verify", help="run a claim grid and report statuses")
     p_ver.add_argument("--grid", default="default", help="'default' or a grid JSON path")
@@ -93,11 +102,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_ver.add_argument("--format", choices=["json", "table"], default="json")
     p_ver.add_argument("--out", default=None)
+    p_ver.set_defaults(run=_cmd_verify)
 
     p_exp = subs.add_parser("export", help="re-emit a saved graph JSON in another format")
     p_exp.add_argument("--in", dest="infile", required=True)
-    p_exp.add_argument("--format", choices=["dot", "json", "table"], default="dot")
+    p_exp.add_argument("--format", choices=list(_WRITERS), default="dot")
     p_exp.add_argument("--out", default=None)
+    p_exp.set_defaults(run=_cmd_export)
 
     return parser
 
@@ -110,21 +121,15 @@ def _emit(text: str, out: Optional[str]):
             fh.write(text)
 
 
-def _cmd_build(args, kind: Optional[str] = None) -> int:
+def _cmd_build(args) -> int:
     ring = build_ring(args.ring)
     J = span_from_labels(ring, args.ideal)
-    resolved_kind = kind or args.kind
-    g = build_level(ring, J, _parse_level(args.i), resolved_kind)
-    if args.format == "dot":
-        _emit(export.graph_to_dot(g), args.out)
-    elif args.format == "json":
-        _emit(export.graph_to_json(g), args.out)
-    else:
-        text = export.graph_to_table(g)
-        if g.requested_extended:
-            sharp = minimal_stabilization_index(ring, J, resolved_kind)
-            text = text.rstrip("\n") + f"\nsharp stabilization index: {sharp}\n"
-        _emit(text, args.out)
+    g = build_level(ring, J, _parse_level(args.i), args.kind)
+    text = _WRITERS[args.format](g)
+    if args.format == "table" and g.requested_extended:
+        sharp = minimal_stabilization_index(ring, J, args.kind)
+        text = text.rstrip("\n") + f"\nsharp stabilization index: {sharp}\n"
+    _emit(text, args.out)
     return 0
 
 
@@ -262,12 +267,7 @@ def _cmd_verify(args) -> int:
 def _cmd_export(args) -> int:
     with open(args.infile, "r", encoding="utf-8") as fh:
         g = export.load_graph_json(fh.read())
-    if args.format == "dot":
-        _emit(export.graph_to_dot(g), args.out)
-    elif args.format == "json":
-        _emit(export.graph_to_json(g), args.out)
-    else:
-        _emit(export.graph_to_table(g), args.out)
+    _emit(_WRITERS[args.format](g), args.out)
     return 0
 
 
@@ -278,27 +278,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        if args.verb == "build":
-            return _cmd_build(args)
-        if args.verb == "zdg":
-            return _cmd_build(args, kind=ZERO)
-        if args.verb == "analyze":
-            return _cmd_analyze(args)
-        if args.verb == "stabilize":
-            return _cmd_stabilize(args)
-        if args.verb == "radical":
-            return _cmd_radical(args)
-        if args.verb == "xi":
-            return _cmd_xi(args)
-        if args.verb == "verify":
-            return _cmd_verify(args)
-        if args.verb == "export":
-            return _cmd_export(args)
-        parser.error(f"unknown verb {args.verb}")
+        return args.run(args)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

@@ -35,7 +35,7 @@ class ConilpotencyRecord(NamedTuple):
 def conilpotency_record(ring: Ring, J: IdealSet, x: int) -> ConilpotencyRecord:
     """Scan k = 1 .. bound for the defining pair of non-memberships."""
     ctx = level_context(ring, J)
-    power_ideals = ctx.trajectory(x).ideals
+    power_ideals = ctx.trajectory(ring.check_element(x)).ideals
     bound = len(power_ideals)
     one_minus_x = ring.sub(ring.one, x)
     complement_ideal = ctx.trajectory(one_minus_x).ideals[0]

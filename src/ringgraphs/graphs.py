@@ -51,14 +51,17 @@ yR + J = I. No product by a unit finds it: in each local factor, Nakayama's
 lemma on the cyclic module I/J (Atiyah-Macdonald, Cor. 2.7) says y generates
 it iff y lies outside mI + J, unless that is I. So the orbit is I less each
 K = J + mxR, m maximal, that is not I, and K is one span of the products gx
-for g generating m. ``LevelContext.trajectory`` builds one chain per orbit
-and hands that one object to every member; a non-vertex has the one-ideal
-chain J (x in J) or R (x a unit modulo J) and needs no span.
+for g generating m. ``LevelContext.classes`` sweeps the vertex bitset once:
+the least vertex not yet in a class builds its chain and its orbit, and the
+whole orbit joins that class. ``trajectory`` reads a vertex's chain off its
+class; a non-vertex has the one-ideal chain J (x in J) or R (x a unit
+modulo J) and needs no span.
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from typing import Iterator, NamedTuple, Optional, Sequence, TypeVar, Union
@@ -186,7 +189,6 @@ class LevelContext:
     def __init__(self, ring: Ring, J: IdealSet):
         self.ring = ring
         self.J = J
-        self._traj: dict[int, PowerTrajectory] = {}
         self._vertex_bits: Optional[int] = None
         self._vertices: Optional[tuple[int, ...]] = None
         self._classes: Optional[tuple] = None
@@ -210,49 +212,51 @@ class LevelContext:
     # trajectories --------------------------------------------------------
 
     def trajectory(self, x: int) -> PowerTrajectory:
-        got = self._traj.get(x)
-        if got is not None:
-            return got
-        ring, J = self.ring, self.J
         if not self.vertex_bits() >> x & 1:
             # every power of a member of J stays in J, of a unit mod J is a unit
-            I = J if J.contains(x) else unit_ideal(ring)
+            I = self.J if self.J.contains(x) else unit_ideal(self.ring)
             return PowerTrajectory(ideals=(I,), powers=(x,))
-        ideals: list[IdealSet] = []
-        powers: list[int] = []
-        p = x  # the running power x^m
-        while True:
-            I = ideal_sum(J, (p,))
-            if ideals and I is ideals[-1]:
-                break
-            ideals.append(I)
-            powers.append(p)
-            p = ring.mul(p, x)
-        traj = PowerTrajectory(ideals=tuple(ideals), powers=tuple(powers))
-        # the orbit Ux + J is I = xR + J less each K = J + mxR, m maximal, that is not I
-        I, smaller = ideals[0].bits, 0
-        for gens in ring.maximal_generators:
-            K = ideal_sum_bits(J, [ring.mul(g, x) for g in gens])
-            if K != I:
-                smaller |= K
-        self._traj.update(dict.fromkeys(set_bit_items(I & ~smaller, range(ring.size)), traj))
-        return traj
+        class_of, trajs, _ = self.classes()
+        return trajs[class_of[bisect_left(self.vertices(), x)]]
 
     def classes(self) -> tuple[tuple[int, ...], tuple[PowerTrajectory, ...], tuple[int, ...]]:
-        """Each vertex's twin class (orbit), each class's trajectory and member mask."""
+        """Each vertex's twin class (orbit), each class's trajectory and member mask.
+
+        Classes are numbered by first member: the least vertex not yet in a
+        class builds the chain, and its whole orbit joins the class.
+        """
         if self._classes is None:  # fixed by (ring, J), so racing fills agree
-            index: dict[int, int] = {}  # class per trajectory object, by first member
+            ring, J, verts = self.ring, self.J, self.vertices()
+            class_of = [0] * len(verts)
             trajs: list[PowerTrajectory] = []
-            class_of = []
-            for v in self.vertices():
-                t = self.trajectory(v)
-                c = index.setdefault(id(t), len(index))
-                if c == len(trajs):
-                    trajs.append(t)
-                class_of.append(c)
-            members = [0] * len(trajs)
-            for k, c in enumerate(class_of):
-                members[c] |= 1 << k
+            members: list[int] = []
+            left = self.vertex_bits()
+            while left:
+                x = (left & -left).bit_length() - 1
+                ideals: list[IdealSet] = []
+                powers: list[int] = []
+                p = x  # the running power x^m
+                while True:
+                    I = ideal_sum(J, (p,))
+                    if ideals and I is ideals[-1]:
+                        break
+                    ideals.append(I)
+                    powers.append(p)
+                    p = ring.mul(p, x)
+                # the orbit Ux + J is I = xR + J less each K = J + mxR, m maximal, that is not I
+                I = orbit = ideals[0].bits
+                for gens in ring.maximal_generators:
+                    K = ideal_sum_bits(J, [ring.mul(g, x) for g in gens])
+                    if K != I:
+                        orbit &= ~K
+                left &= ~orbit
+                k = mask = 0
+                for v in set_bit_items(orbit, range(ring.size)):
+                    k = bisect_left(verts, v, k)
+                    class_of[k] = len(trajs)
+                    mask |= 1 << k
+                trajs.append(PowerTrajectory(ideals=tuple(ideals), powers=tuple(powers)))
+                members.append(mask)
             self._classes = tuple(class_of), tuple(trajs), tuple(members)
         return self._classes
 
@@ -301,7 +305,7 @@ class LevelContext:
         return first is not None and first <= i
 
     def stabilization_bound(self) -> int:
-        return max((len(self.trajectory(x).ideals) for x in self.vertices()), default=1)
+        return max((len(t.ideals) for t in self.classes()[1]), default=1)
 
 
 @lru_cache(maxsize=None)
@@ -355,7 +359,7 @@ def vertex_set(ring: Ring, J: IdealSet, kind: str = COZERO) -> tuple[int, ...]:
 
 def power_trajectory(ring: Ring, J: IdealSet, x: int) -> PowerTrajectory:
     """The descending chain of ideals x^m R + J up to its first repeat."""
-    return level_context(ring, J).trajectory(x)
+    return level_context(ring, J).trajectory(ring.check_element(x))
 
 
 def stabilization_bound(ring: Ring, J: IdealSet) -> int:
@@ -373,7 +377,7 @@ def adjacent(ring: Ring, J: IdealSet, x: int, y: int, i: Level, kind: str = COZE
     ctx = level_context(ring, J)
     vbits = ctx.vertex_bits()
     for v in (x, y):
-        if v < 0 or not vbits >> v & 1:
+        if not vbits >> ring.check_element(v) & 1:
             raise NotAVertex(f"{ring.label(v)} is not a vertex")
     return ctx.adjacent(x, y, ctx.level(i), kind)
 

@@ -90,7 +90,7 @@ def _intern(ring: Ring, bits: int) -> IdealSet:
 
 def span(ring: Ring, generators: Iterable[int]) -> IdealSet:
     """Smallest ideal containing the generators, interned, spanned by ``Ring.span_bits``."""
-    return _intern(ring, ring.span_bits(tuple(generators), 1))
+    return _intern(ring, ring.span_bits(tuple(map(ring.check_element, generators)), 1))
 
 
 def zero_ideal(ring: Ring) -> IdealSet:

@@ -477,6 +477,12 @@ class Ring:
     def is_unit(self, x: int) -> bool:
         return bool(self.unit_bits() >> x & 1)
 
+    def check_element(self, x: int) -> int:
+        """x itself, if it indexes an element of the carrier."""
+        if not 0 <= x < self.size:
+            raise ValueError(f"{x} is not an element index of {self!r}")
+        return x
+
     def __repr__(self):
         return f"Ring({descriptor_string(self.descriptor)})"
 

@@ -7,7 +7,8 @@ a time through ``has_edge``, never a whole adjacency row. Costs are
 quadratic and worse on purpose; these are the referees, not the
 implementation. One exception is ``zn_cozero_rows``, a closed form for
 Z_n in plain integers, which checks whole graphs of tens of thousands of
-vertices. The other is ``scan_conilpotency_maximum``, which referees only the
+vertices; ``chain_ring_rows`` is its like for the chain rings Z_p[x]/(x^n).
+The other is ``scan_conilpotency_maximum``, which referees only the
 library's choice of which elements to scan, so it reads each element's
 record through the library.
 """
@@ -438,3 +439,37 @@ def zn_cozero_rows(n, i):
         for d in members
     }
     return vertices, [rows[math.gcd(x, n)] for x in vertices]
+
+
+def chain_ring_rows(p, n, i, kind):
+    """Vertices and adjacency rows of Z_p[x]/(x^n)'s level-i graph over J = 0.
+
+    Plain integers only. Base-p digit k of a carrier index is the coefficient
+    of x^k, so the valuation v of an element, the least power of x in it, is
+    the p-adic valuation of its index, and x^m R = (x^min(mv, n)). The
+    vertices are the nonzero non-units, 0 < v < n. The principal ideals form
+    a chain, so none are incomparable and the cozero graph has no edge. In
+    the zero kind, vertices of valuations v and w are adjacent at level i when
+    some a, b <= i keep both powers nonzero (av < n, bw < n) and make their
+    product zero (av + bw >= n).
+    """
+
+    def valuation(x):
+        return next(k for k in range(n) if x % p ** (k + 1))
+
+    vertices = list(range(p, p**n, p))
+    members = {}
+    for k, x in enumerate(vertices):
+        v = valuation(x)
+        members[v] = members.get(v, 0) | 1 << k
+    exps = range(1, i + 1)
+    rows = {
+        v: sum(
+            members[w]
+            for w in members
+            if kind == ZERO
+            and any(a * v < n and b * w < n and a * v + b * w >= n for a in exps for b in exps)
+        )
+        for v in members
+    }
+    return vertices, [rows[valuation(x)] & ~(1 << k) for k, x in enumerate(vertices)]

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import ringgraphs
-from ringgraphs import claims
+from ringgraphs import claims, graphs
 from ringgraphs.cli import main
 from oracles import coset_set, naive_nilpotents, naive_units, naive_vertices
 from test_acceptance import ORACLE_RINGS
@@ -183,6 +183,21 @@ def test_xi_claim():
     assert run_claim(inst("C-XI", "Z6")).status == VERIFIED
     assert run_claim(inst("C-XI", "Z12")).status == VACUOUS  # levels differ
     assert run_claim(inst("C-XI", "Z12", "6")).status == VERIFIED
+
+
+@pytest.mark.parametrize(
+    "claim, ring_name, ideal, status",
+    [("C-FILT", "Z24", "0", VERIFIED), ("C-XI", "Z12", "0", VACUOUS), ("C-XI", "Z12", "6", VERIFIED)],
+)
+def test_filtration_and_xi_parity_build_no_level(monkeypatch, claim, ring_name, ideal, status):
+    # both read the context's first-level matrix F: thresholds of one F nest,
+    # and levels 1 and 2 differ iff some class pair first relates at level 2
+    ring = build_ring(ring_name)
+    J = span_from_labels(ring, ideal)
+    ctx = graphs.LevelContext(ring, J)
+    monkeypatch.setitem(graphs._CONTEXTS, (id(ring), J.bits), ctx)
+    assert run_claim(inst(claim, ring_name, ideal)).status == status
+    assert ctx._graphs == {}
 
 
 def test_semiprime_claim_counterexample_is_refuted_and_replayable():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import (
+    chain_ring_rows,
     closure_span,
     coset_set,
     digit_add,
@@ -18,7 +19,7 @@ from oracles import (
     zn_cozero_rows,
 )
 from test_acceptance import ORACLE_RINGS
-from ringgraphs import clear_caches, graphs
+from ringgraphs import clear_caches, graphs, rings
 from ringgraphs.graphs import (
     COZERO,
     EXTENDED,
@@ -33,6 +34,7 @@ from ringgraphs.graphs import (
     vertex_set,
 )
 from ringgraphs.claims import GRID_RINGS, grid_ideals
+from ringgraphs.conilpotency import conilpotency_record
 from ringgraphs.ideals import (
     ideal_sum,
     is_maximal,
@@ -92,6 +94,25 @@ def test_adjacent_rejects_non_vertices():
         adjacent(z12, J, 1, 2, 1)
     with pytest.raises(NotAVertex):
         adjacent(z12, J, 2, 0, 1)
+
+
+@pytest.mark.parametrize("name", ["Z12", "Z2[x]/(x^3)", "Z4xZ9"])
+def test_indices_outside_the_carrier_are_refused(name):
+    # an index past the carrier or below 0 names no element: the entry points
+    # refuse it, where they used to wrap or shift it into a wrong answer
+    ring, J = zero_of(name)
+    v = vertex_set(ring, J)[0]
+    calls = [
+        lambda x: power_trajectory(ring, J, x),
+        lambda x: conilpotency_record(ring, J, x),
+        lambda x: adjacent(ring, J, x, v, 1),
+        lambda x: adjacent(ring, J, v, x, 1),
+        lambda x: span(ring, [x]),
+    ]
+    for x in (ring.size, ring.size + 3, -1):
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^{x} is not an element index"):
+                call(x)
 
 
 def test_build_level_z12_figures():
@@ -189,6 +210,8 @@ def test_first_levels_match_naive_edge_referee():
             verts = vertex_set(ring, J)
             for kind in (COZERO, ZERO):
                 levels = [naive_edges(ring, j_members, i, kind) for i in range(1, top + 1)]
+                # C-FILT reads the nesting off F; here it holds edge by edge
+                assert all(lo <= hi for lo, hi in zip(levels, levels[1:])), (name, J.bits, kind)
                 F = ctx.first_levels(kind)
                 # a class of one vertex holds no pair, so it adds no level
                 assert all(F[c][c] is None for c, mask in enumerate(members) if mask.bit_count() == 1)
@@ -448,9 +471,9 @@ def test_power_trajectory_is_descending_chain():
 
 
 def test_zero_adjacency_reads_the_builders_powers():
-    # the zero relation multiplies the powers of whichever member built each
-    # orbit's chain; a context filled in reverse carrier order picks other
-    # builders than the shared one, and must still match the literal definition
+    # the zero relation multiplies the powers of the member that built each
+    # orbit's chain, its least one, not those of the vertices asked about; a
+    # context asked in reverse carrier order must still match the definition
     for name, label in TRAJECTORY_QUOTIENT_CASES:
         ring = build_ring(name)
         J = span_from_labels(ring, label)
@@ -596,11 +619,11 @@ def test_trajectory_groups_are_the_unit_orbits(name):
 
 
 def test_sharp_index_groups_the_vertices_once(monkeypatch):
-    # the first-level matrix reads the context's classes, not each vertex per level
+    # the classes sweep the vertex bitset and read no trajectory; the bound
+    # spans every chain, so the first-level matrices after it span nothing
+    monkeypatch.setattr(rings, "_RING_CACHE", {})  # a fresh ring, with no ideal interned
     ring, J = zero_of("Z2[x]/(x^9)")
     monkeypatch.setitem(graphs._CONTEXTS, (id(ring), J.bits), LevelContext(ring, J))
-    n = len(vertex_set(ring, J))
-    assert stabilization_bound(ring, J) == 9
     calls = []
     trajectory = LevelContext.trajectory
 
@@ -609,9 +632,12 @@ def test_sharp_index_groups_the_vertices_once(monkeypatch):
         return trajectory(self, x)
 
     monkeypatch.setattr(LevelContext, "trajectory", counting)
+    assert stabilization_bound(ring, J) == 9
+    interned = len(ring.ideal_intern)
     assert minimal_stabilization_index(ring, J) == 1
-    # the classes read each vertex's chain once, and no level or bound reads more
-    assert len(calls) == n
+    assert minimal_stabilization_index(ring, J, ZERO) == 5
+    assert calls == []
+    assert len(ring.ideal_intern) == interned
 
 
 def test_vertex_set_nonempty_iff_proper_non_maximal():
@@ -693,3 +719,19 @@ def test_zn_levels_match_the_closed_form(n, i):
     vertices, rows = zn_cozero_rows(n, i)
     assert g.vertices == tuple(vertices)
     assert g.rows == tuple(rows)
+
+
+@pytest.mark.parametrize("p, n", [(2, 6), (3, 4), (5, 3), (7, 3)])
+def test_chain_rings_match_the_closed_form(p, n):
+    # every level from 1 to bound + 1 in both kinds, the bound n of the
+    # valuation-1 chain, and each kind's sharp index: the least level whose
+    # rows are already the limit's
+    ring, J = zero_of(f"Z{p}[x]/(x^{n})")
+    assert stabilization_bound(ring, J) == n
+    for kind in (COZERO, ZERO):
+        levels = [chain_ring_rows(p, n, i, kind) for i in range(1, n + 2)]
+        for i, (vertices, rows) in enumerate(levels, 1):
+            g = build_level(ring, J, i, kind)
+            assert (g.vertices, g.rows) == (tuple(vertices), tuple(rows)), (p, n, kind, i)
+        sharp = next(i for i, level in enumerate(levels, 1) if level == levels[-1])
+        assert minimal_stabilization_index(ring, J, kind) == sharp, (p, n, kind)
