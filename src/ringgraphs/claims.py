@@ -16,19 +16,16 @@ makes every statement about the graphs degenerate.
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 import time
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import analysis
 from .analysis import (
-    PartitionWitness,
-    check_partition_claim,
-    induced_subgraph,
-    is_complete,
-    is_empty_graph,
-    zpnq_parts,
+    PartitionWitness, check_partition_claim, is_complete, is_empty_graph, zpnq_parts
 )
 from .conilpotency import conilpotency_maximum, conilpotency_record, ring_conilpotency_index
 from .graphs import (
@@ -266,37 +263,38 @@ def _run_xi_parity(r: _Resolved):
     return REFUTED, witness, f"ring index {xi} is even"
 
 
-def _stable_power(ring: Ring, x: int) -> Optional[tuple[int, int]]:
-    """The least n with x^n = x^(n+1), and x^n, if there is such an n.
+def _stable_cases(ring: Ring) -> list[tuple[int, int, int]]:
+    """(x, n, x^n) for each non-unit x outside the radical with a stable power, by x.
 
-    In each local factor of R, x is a unit, whose powers are purely periodic,
-    or nilpotent. A nilpotent x with x^k = 0 and x^(k-1) != 0 gives the
-    strict chain R > xR > ... > x^kR = 0 (an equal step x^jR = x^(j+1)R
-    would make x^j a multiple of every higher power of x, hence 0), and each
-    step at least halves the size, so 2^k <= |R|. So a stable power exists
-    exactly when every unit component is 1, and then the least one is at
-    most K = bit_length(|R|); the search stops there.
+    R is the product of its local rings R_k, one for each maximal ideal m_k
+    (Atiyah-Macdonald, Thm 8.7). In R_k, x^n = x^(n+1) says x^n(1 - x) = 0,
+    so x is 1 there or nilpotent. So the cases are x = e + y, for e an
+    idempotent other than 0 and 1 and y a nilpotent of (1 - e)R: then
+    x^n = e + y^n, and the least n is y's nilpotency index (1 for y = 0).
+    The least a in every other m_j but outside m_k is a unit in R_k and
+    nilpotent in the other factors. The unit's order divides |U|, and a
+    nilpotent y with y^j = 0 != y^(j-1) gives the strict chain
+    R > yR > ... > y^jR = 0, each step at least halving, so
+    j < bit_length(|R|). So a^(|U| bit_length(|R|)) is the primitive
+    idempotent e_k, and the e are the sums of the proper, nonempty subsets
+    of the e_k.
     """
-    p = x  # the running power x^n
-    for n in range(1, ring.size.bit_length() + 1):
-        q = ring.mul(p, x)
-        if q == p:
-            return n, p
-        p = q
-    return None
-
-
-def _stable_cases(ring: Ring) -> tuple[tuple[int, int, int], ...]:
-    """(x, n, x^n) for each non-unit x outside the radical with a stable power x^n."""
-    if ring._stable_cases is None:  # racing fills agree
-        cases = []
-        others = ring.full_bits & ~(ring.unit_bits() | ring.nilpotent_bits())
-        for x in set_bit_items(others, range(ring.size)):
-            stable = _stable_power(ring, x)
-            if stable is not None:
-                cases.append((x, *stable))
-        ring._stable_cases = tuple(cases)
-    return ring._stable_cases
+    maxima = ring.maximal_bits
+    exponent = ring.unit_bits().bit_count() * ring.size.bit_length()
+    primitive = []
+    for k, m in enumerate(maxima):
+        a = functools.reduce(operator.and_, maxima[:k] + maxima[k + 1 :], ring.full_bits) & ~m
+        primitive.append(ring.pow((a & -a).bit_length() - 1, exponent))
+    nilpotent, cases = ring.nilpotent_bits(), []
+    for subset in range(1, (1 << len(primitive)) - 1):
+        e = functools.reduce(ring.add, set_bit_items(subset, primitive))
+        for y in set_bit_items(ring.span_bits((ring.sub(ring.one, e),), 1) & nilpotent,
+                               range(ring.size)):
+            n, p = 1, y  # p is y^n
+            while p:
+                n, p = n + 1, ring.mul(p, y)
+            cases.append((ring.add(e, y), n, e))
+    return sorted(cases)
 
 
 def _run_conilpotent_elements(r: _Resolved):
@@ -412,11 +410,11 @@ def check_bipartite_iff(ring: Ring, J: IdealSet, m1: IdealSet, m2: IdealSet, i: 
     xR + J lies in m1 or m2, so x is a vertex; two vertices are adjacent at
     level i exactly when some x^nR + J and y^mR + J with n, m <= i are
     incomparable. So side B says that no edge of the level graph joins two
-    members of one part. Side A forbids those edges too, so A implies B,
-    and only B without A can refute the equivalence. B also leaves no vertex
-    off the radical outside the parts: R/J is a product of local rings, and a
-    third factor would put the idempotents of two factors other than m1's,
-    whose ideals are incomparable, into part 1.
+    members of one part. Side A forbids those edges too, so A implies B, and
+    only B without A can refute the equivalence. B also leaves only m1 and m2,
+    so the parts are disjoint and cover the vertices off the radical: R/J is a
+    product of local rings, and a third factor puts the idempotents of two
+    factors but m1's, whose ideals are incomparable, in part 1.
     Returns (status, witness, detail).
     """
     jac = jacobson_radical(ring)
@@ -426,26 +424,20 @@ def check_bipartite_iff(ring: Ring, J: IdealSet, m1: IdealSet, m2: IdealSet, i: 
         return VACUOUS, None, "supplied ideals are not two distinct maximal ideals"
     part1, part2 = (tuple(set_bit_items(m.bits & ~jac.bits, range(ring.size))) for m in (m1, m2))
     g = build_level(ring, J, i, COZERO)
-    if _edge_inside(g, part1) or _edge_inside(g, part2):
+    mask1, mask2 = (sum(1 << g.position_of(x) for x in part) for part in (part1, part2))
+    if any(row & mask for mask in (mask1, mask2) for row in set_bit_items(mask, g.rows)):
         return VERIFIED, None, f"both sides fail: equivalence confirmed at level {i}"
-    restricted = induced_subgraph(g, set(part1) | set(part2))
-    verdict = check_partition_claim(restricted, PartitionWitness((part1, part2)))
-    if verdict.holds:
+    # B holds, so the parts are disjoint (above) and only a missing cross pair can fail A
+    across = (~row & (mask2 if mask1 >> k & 1 else mask1 if mask2 >> k & 1 else 0)
+              for k, row in enumerate(g.rows))
+    if (pair := _first_pair(g, across)) is None:
         return VERIFIED, None, f"both sides hold: equivalence confirmed at level {i}"
     witness = _pair_witness(
-        "partition_pair",
-        restricted,
-        *verdict.witness,
-        reason=verdict.reason,
+        "partition_pair", g, *pair, reason="missing cross-part edge",
         parts=[[ring.label(v) for v in part] for part in (part1, part2)],
         direction="ordered ideals but not complete bipartite",
     )
     return REFUTED, witness, "the two sides disagree"
-
-
-def _edge_inside(g: GraphLevel, part: tuple[int, ...]) -> bool:
-    mask = sum(1 << g.position_of(x) for x in part)
-    return any(g.rows[g.position_of(x)] & mask for x in part)
 
 
 def _run_zero_divisor_completeness(r: _Resolved):

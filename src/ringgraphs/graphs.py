@@ -319,6 +319,8 @@ _CONTEXT_LOCK = threading.Lock()
 
 
 def level_context(ring: Ring, J: IdealSet) -> LevelContext:
+    if J.ring.descriptor != ring.descriptor:
+        raise ValueError(f"the ideal belongs to {J.ring!r}, not to {ring!r}")
     key = (id(ring), J.bits)
     ctx = _CONTEXTS.get(key)
     if ctx is None:

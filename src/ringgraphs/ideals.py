@@ -116,7 +116,7 @@ def principal_plus(x: int, n: int, J: IdealSet) -> IdealSet:
     """The ideal x^n R + J."""
     if n < 1:
         raise ValueError("exponent must be >= 1")
-    return ideal_sum(J, (J.ring.pow(x, n),))
+    return ideal_sum(J, (J.ring.pow(J.ring.check_element(x), n),))
 
 
 def span_from_labels(ring: Ring, text: str) -> IdealSet:

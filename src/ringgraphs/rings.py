@@ -413,7 +413,6 @@ class Ring:
         self.descriptor = descriptor
         self.size = size
         self.full_bits = (1 << size) - 1
-        self._stable_cases: Optional[tuple] = None  # claims._stable_cases
         self._lock = threading.Lock()
         # interned ideals by bits: one object per ideal, so they compare by identity
         self.ideal_intern: dict[int, object] = {}

@@ -18,12 +18,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from typing import Optional
 
 from ringgraphs.claims import GRID_RINGS, grid_ideals
 from ringgraphs.conilpotency import conilpotency_record
 from ringgraphs.graphs import COZERO, EXTENDED, ZERO, build_level
 from ringgraphs.ideals import span_from_labels
-from ringgraphs.rings import ModularRing, ProductRing, build_ring
+from ringgraphs.rings import ModularRing, ProductRing, Ring, build_ring
 
 
 @functools.cache
@@ -239,6 +240,41 @@ def power_rho(ring, x):
         seen[v] = m
         v, m = ring.mul(v, x), m + 1
     return seen[v] - 1, m - seen[v]
+
+
+def _stable_power(ring: Ring, x: int) -> Optional[tuple[int, int]]:
+    """The least n with x^n = x^(n+1), and x^n, if there is such an n.
+
+    In each local factor of R, x is a unit, whose powers are purely periodic,
+    or nilpotent. A nilpotent x with x^k = 0 and x^(k-1) != 0 gives the
+    strict chain R > xR > ... > x^kR = 0 (an equal step x^jR = x^(j+1)R
+    would make x^j a multiple of every higher power of x, hence 0), and each
+    step at least halves the size, so 2^k <= |R|. So a stable power exists
+    exactly when every unit component is 1, and then the least one is at
+    most K = bit_length(|R|); the search stops there.
+    """
+    p = x  # the running power x^n
+    for n in range(1, ring.size.bit_length() + 1):
+        q = ring.mul(p, x)
+        if q == p:
+            return n, p
+        p = q
+    return None
+
+
+def stable_cases(ring):
+    """(x, n, x^n) for each non-unit x outside the radical with a stable power x^n.
+
+    One search per element, in carrier order. A stable power x^n = x^(n+1)
+    is idempotent, as x^n = x^(2n); it is 1 exactly when x is a unit and 0
+    exactly when x is nilpotent, so the value itself tells which x to keep.
+    """
+    cases = []
+    for x in range(ring.size):
+        stable = _stable_power(ring, x)
+        if stable is not None and stable[1] not in (ring.zero, ring.one):
+            cases.append((x, *stable))
+    return cases
 
 
 def poly_mul(ring, a, b):

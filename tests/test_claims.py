@@ -37,7 +37,8 @@ from ringgraphs.claims import (
     run_suite,
     suite_to_json,
 )
-from ringgraphs.graphs import stabilization_bound, vertex_set
+from ringgraphs.analysis import PartitionWitness, check_partition_claim, induced_subgraph
+from ringgraphs.graphs import COZERO, GraphLevel, build_level, stabilization_bound, vertex_set
 from ringgraphs.ideals import (
     is_maximal,
     jacobson_radical,
@@ -332,6 +333,39 @@ def test_check_bipartite_iff_matches_brute_force_sides():
                     assert (status, detail) == expected, (name, J.bits, i)
                     cases += 1
     assert cases >= 350, cases
+
+
+@pytest.mark.parametrize("name", ["Z12", "Z36", "Z4xZ9", "Z6[x]/(x^2)", "Z10[x]/(x^2)"])
+def test_check_bipartite_iff_names_the_first_missing_cross_pair(monkeypatch, name):
+    # both sides always agree on a real level graph, so a copy with a few
+    # cross-part edges taken out drives the REFUTED branch; its witness is the
+    # first offending pair that check_partition_claim reads off the parts
+    ring = build_ring(name)
+    J = zero_ideal(ring)
+    m1, m2 = maximal_ideals(ring)
+    jac = jacobson_radical(ring)
+    parts = tuple(tuple(x for x in m.members() if not jac.contains(x)) for m in (m1, m2))
+    g = build_level(ring, J, 1)
+    cross = [(x, y) for x, y in g.edges() if {x, y} & set(parts[0]) and {x, y} & set(parts[1])]
+    rows = list(g.rows)
+    for x, y in random.Random(name).sample(cross, 3):
+        i, j = g.position_of(x), g.position_of(y)
+        rows[i] &= ~(1 << j)
+        rows[j] &= ~(1 << i)
+    cut = GraphLevel(ring, J, COZERO, 1, False, g.vertices, tuple(rows))
+    monkeypatch.setattr(claims, "build_level", lambda *args: cut)
+    status, witness, detail = check_bipartite_iff(ring, J, m1, m2, 1)
+    kept = induced_subgraph(cut, set(parts[0]) | set(parts[1]))
+    verdict = check_partition_claim(kept, PartitionWitness(parts))
+    assert (status, detail) == (REFUTED, "the two sides disagree")
+    assert witness == {
+        "kind": "partition_pair", "graph": COZERO, "level": 1,
+        "x": ring.label(verdict.witness[0]), "y": ring.label(verdict.witness[1]),
+        "reason": verdict.reason,
+        "parts": [[ring.label(v) for v in part] for part in parts],
+        "direction": "ordered ideals but not complete bipartite",
+    }
+    assert verdict.reason == "missing cross-part edge"
 
 
 def test_bipartite_parts_exclude_radical():

@@ -2,8 +2,15 @@
 
 import pytest
 
-from oracles import brute_conilpotency_index, coset_set, power_rho, scan_conilpotency_maximum
-from ringgraphs.claims import GRID_RINGS, _stable_power, default_grid
+from oracles import (
+    _stable_power,
+    brute_conilpotency_index,
+    coset_set,
+    power_rho,
+    scan_conilpotency_maximum,
+    stable_cases,
+)
+from ringgraphs.claims import GRID_RINGS, _stable_cases, default_grid
 from ringgraphs.conilpotency import (
     conilpotency_maximum,
     conilpotency_record,
@@ -12,7 +19,7 @@ from ringgraphs.conilpotency import (
 from ringgraphs.graphs import build_level, power_trajectory, stabilization_bound, vertex_set
 from ringgraphs.ideals import jacobson_radical, span, span_from_labels, zero_ideal
 from ringgraphs.rings import build_ring
-from test_graphs import NONLOCAL_RINGS, SPLIT_MODULUS_RINGS
+from test_graphs import NONLOCAL_RINGS, ORBIT_RINGS, SPLIT_MODULUS_RINGS
 
 
 def test_record_examples():
@@ -204,3 +211,17 @@ def test_bounded_stable_power_search_matches_rho_formula(name):
     for x in ring.elements():
         t, p = power_rho(ring, x)
         assert _stable_power(ring, x) == ((t + 1, ring.pow(x, t + 1)) if p == 1 else None), x
+
+
+STABLE_CASE_RINGS = list(dict.fromkeys(
+    GRID_RINGS + ORBIT_RINGS + NONLOCAL_RINGS + SPLIT_MODULUS_RINGS
+    + ["Z2[x,t]/(x^6,t^2+t)", "Z4xZ9xZ25"]
+))
+
+
+@pytest.mark.parametrize("name", STABLE_CASE_RINGS)
+def test_stable_cases_match_the_element_search(name):
+    # the closed form from the primitive idempotents gives the cases of the
+    # per-element search, in carrier order, where the first refutation is read
+    ring = build_ring(name)
+    assert _stable_cases(ring) == stable_cases(ring)

@@ -108,11 +108,38 @@ def test_indices_outside_the_carrier_are_refused(name):
         lambda x: adjacent(ring, J, x, v, 1),
         lambda x: adjacent(ring, J, v, x, 1),
         lambda x: span(ring, [x]),
+        lambda x: principal_plus(x, 1, J),
     ]
     for x in (ring.size, ring.size + 3, -1):
         for call in calls:
             with pytest.raises(ValueError, match=f"^{x} is not an element index"):
                 call(x)
+
+
+def test_an_ideal_of_another_ring_is_refused():
+    # Z12's ideal (6) under Z24 used to give a "Z24" graph on the vertices of
+    # Z12's maximal ideals; each graph operation now refuses the pair
+    z24, z12 = build_ring("Z24"), build_ring("Z12")
+    J = span(z12, [6])
+    calls = [
+        lambda: build_level(z24, J, 1),
+        lambda: stabilization_bound(z24, J),
+        lambda: minimal_stabilization_index(z24, J),
+        lambda: adjacent(z24, J, 2, 3, 1),
+        lambda: vertex_set(z24, J),
+        lambda: power_trajectory(z24, J, 2),
+    ]
+    refusal = r"^the ideal belongs to Ring\(Z12\), not to Ring\(Z24\)$"
+    for call in calls:
+        with pytest.raises(ValueError, match=refusal):
+            call()
+    # a ring rebuilt after clear_caches has the same descriptor, so J still serves it
+    edges = set(build_level(z12, J, 2).edges())
+    clear_caches()
+    rebuilt = build_ring("Z12")
+    assert rebuilt is not z12
+    assert set(build_level(rebuilt, J, 2).edges()) == edges
+    clear_caches()  # drop the context that pairs the rebuilt ring with the old ring's J
 
 
 def test_build_level_z12_figures():
