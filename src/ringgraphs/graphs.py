@@ -66,7 +66,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from typing import Iterator, NamedTuple, Optional, Sequence, TypeVar, Union
 
-from .ideals import IdealSet, ideal_sum, ideal_sum_bits, immutable, nonunit_bits, unit_ideal
+from .ideals import IdealSet, _intern, ideal_sum, ideal_sum_bits, immutable, nonunit_bits, unit_ideal
 from .rings import _RING_CACHE, _RING_CACHE_LOCK, Ring, descriptor_string, set_bit_items
 
 COZERO = "cozero"
@@ -321,6 +321,8 @@ _CONTEXT_LOCK = threading.Lock()
 def level_context(ring: Ring, J: IdealSet) -> LevelContext:
     if J.ring.descriptor != ring.descriptor:
         raise ValueError(f"the ideal belongs to {J.ring!r}, not to {ring!r}")
+    if J.ring is not ring:  # a ring rebuilt after clear_caches: its own J serves it
+        J = _intern(ring, J.bits)
     key = (id(ring), J.bits)
     ctx = _CONTEXTS.get(key)
     if ctx is None:

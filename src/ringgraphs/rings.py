@@ -30,8 +30,9 @@ from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 CARRIER_CAP = 65536
 
-# maps the digits of a binary numeral to the bytes 0 and 1
+# maps the digits of a binary numeral to the bytes 0 and 1, and back
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+_BYTE_BITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def set_bit_items(bits: int, items: Sequence) -> Iterator:
@@ -438,7 +439,12 @@ class Ring:
         raise NotImplementedError
 
     def span_bits(self, values: tuple[int, ...], base_bits: int) -> int:
-        """Bits of the ideal J + <values>, where ``base_bits`` are the bits of J."""
+        """Bits of the ideal J + <values>, where ``base_bits`` are the bits of J.
+
+        ``base_bits`` must be an ideal's bits, an additive subgroup holding 0,
+        as the quotient-ring closure adjoins its whole cosets; every caller
+        passes J, 1 (the zero ideal) or an earlier span.
+        """
         raise NotImplementedError
 
     # shared operations ----------------------------------------------------------
@@ -649,9 +655,11 @@ class _QuotientRingOps(Ring):
             digits = self._reduce({tuple(x + y for x, y in zip(mi, mj)): 1})
             return tuple((slot, c) for slot, c in enumerate(digits) if c)
 
-        # structure constants: _products[i][j] lists the (slot, coefficient)
-        # terms of the reduced product of monomials i and j (k <= 16 at the cap)
-        self._products = [[product(mi, mj) for mj in self.monomials] for mi in self.monomials]
+        # structure constants: _products[i][j] = _products[j][i] lists the (slot,
+        # coefficient) terms of the reduced product of monomials i and j (k <= 16 at the cap)
+        self._products = [[()] * len(self.monomials) for _ in self.monomials]
+        for (i, mi), (j, mj) in itertools.combinations_with_replacement(enumerate(self.monomials), 2):
+            self._products[i][j] = self._products[j][i] = product(mi, mj)
 
     def encode_digits(self, digits) -> int:
         a = 0
@@ -757,20 +765,34 @@ class _QuotientRingOps(Ring):
             a = self.add(a, term)
         return a
 
+    def _monomial_multiples(self, v: int) -> list[int]:
+        """mono_i * v for each monomial i, read off the rows of ``_products``."""
+        terms = [(j, c) for j, c in enumerate(self.decode_digits(v)) if c]
+        out = []
+        for row in self._products:
+            acc = [0] * len(row)
+            for j, c in terms:
+                for slot, coeff in row[j]:
+                    acc[slot] += c * coeff
+            out.append(self.encode_digits([c % self.m for c in acc]))
+        return out
+
     def span_bits(self, values, base_bits):
-        # the monomials span R over Z_m, so Rv is the Z_m-span of the mono*v
-        gens = {self.mul(self.m**k, v) for k in range(len(self.monomials)) for v in values}
+        # the monomials span R over Z_m, so Rv is the Z_m-span of the mono*v.
+        # Each generator g joins the subgroup S as whole cosets S + kg: cosets
+        # of S are equal or disjoint, so S + kg is new exactly when kg is not
+        # in S, and one test per coset stands in for one per member
+        mark = bytearray(f"{base_bits:b}"[::-1].encode().translate(_BIT_BYTES))
+        mark += bytes(self.size - len(mark))
         members = list(_indices(base_bits))
-        bits = base_bits
-        for g in gens:
-            if bits >> g & 1:
-                continue
-            for a in members:  # grows while walked, so this closes under +g
-                s = self.add(a, g)
-                if not bits >> s & 1:
-                    bits |= 1 << s
-                    members.append(s)
-        return bits
+        for g in {g for v in values for g in self._monomial_multiples(v)}:
+            coset = members
+            while not mark[self.add(coset[0], g)]:
+                coset = [self.add(a, g) for a in coset]
+                for s in coset:
+                    mark[s] = 1
+                members += coset
+        return int(mark.translate(_BYTE_BITS)[::-1], 2)
 
     @functools.cached_property
     def maximal_generators(self) -> tuple[tuple[int, ...], ...]:

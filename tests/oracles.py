@@ -24,7 +24,7 @@ from ringgraphs.claims import GRID_RINGS, grid_ideals
 from ringgraphs.conilpotency import conilpotency_record
 from ringgraphs.graphs import COZERO, EXTENDED, ZERO, build_level
 from ringgraphs.ideals import span_from_labels
-from ringgraphs.rings import ModularRing, ProductRing, Ring, build_ring
+from ringgraphs.rings import ModularRing, ProductRing, Ring, _indices, build_ring
 
 
 @functools.cache
@@ -77,6 +77,27 @@ def closure_span(ring, generators):
         if nxt == current:
             return current
         current = nxt
+
+
+def member_walk_span(ring, values, base_bits):
+    """Bits of J + <values> on a quotient ring, by walking each member + g.
+
+    One ``mul`` per monomial multiple g, and a membership test for each
+    member reached; the referee for ``span_bits``, which adjoins cosets.
+    """
+    # the monomials span R over Z_m, so Rv is the Z_m-span of the mono*v
+    gens = {ring.mul(ring.m**k, v) for k in range(len(ring.monomials)) for v in values}
+    members = list(_indices(base_bits))
+    bits = base_bits
+    for g in gens:
+        if bits >> g & 1:
+            continue
+        for a in members:  # grows while walked, so this closes under +g
+            s = ring.add(a, g)
+            if not bits >> s & 1:
+                bits |= 1 << s
+                members.append(s)
+    return bits
 
 
 def linear_combinations_span(ring, g1, g2):

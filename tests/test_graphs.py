@@ -139,7 +139,18 @@ def test_an_ideal_of_another_ring_is_refused():
     rebuilt = build_ring("Z12")
     assert rebuilt is not z12
     assert set(build_level(rebuilt, J, 2).edges()) == edges
-    clear_caches()  # drop the context that pairs the rebuilt ring with the old ring's J
+
+
+def test_an_ideal_of_a_dropped_ring_serves_the_rebuilt_ring_as_its_own():
+    # the context is built on the rebuilt ring's J, so every chain is interned
+    # in the rebuilt ring and a chain that reaches J ends in that J
+    J_old = span(build_ring("Z12"), [6])
+    clear_caches()
+    rebuilt = build_ring("Z12")
+    J_rebuilt = span(rebuilt, [6])
+    for x in rebuilt.elements():
+        assert all(I.ring is rebuilt for I in power_trajectory(rebuilt, J_old, x).ideals), x
+    assert power_trajectory(rebuilt, J_old, 6).ideals[-1] is J_rebuilt
 
 
 def test_build_level_z12_figures():

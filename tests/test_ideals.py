@@ -10,6 +10,7 @@ from oracles import (
     closure_span,
     coset_set,
     linear_combinations_span,
+    member_walk_span,
     naive_edges,
     naive_is_prime,
     naive_is_semiprime,
@@ -32,7 +33,7 @@ from ringgraphs.ideals import (
 from ringgraphs.graphs import COZERO, ZERO, build_level, stabilization_bound, vertex_set
 from ringgraphs.rings import PolyQuotientRing, ProductRing, build_ring
 from test_graphs import NONLOCAL_RINGS, ORBIT_RINGS, SPLIT_MODULUS_RINGS
-from test_rings import PRODUCT_RINGS
+from test_rings import PRODUCT_RINGS, QUOTIENT_RINGS
 
 ORACLE_RINGS = [
     "Z6",
@@ -327,6 +328,45 @@ def test_quotient_structure_matches_referees(ring, data):
         assert list(vertex_set(ring, J)) == verts
         assert is_maximal(J) == (len(j_members) < ring.size and not verts)
     assert all(is_maximal(m) for m in maxima)
+
+
+@pytest.mark.parametrize("name", QUOTIENT_RINGS)
+def test_monomial_multiples_are_the_products_with_each_monomial(name):
+    # carrier index m^k is the k-th monomial
+    ring = build_ring(name)
+    for v in ring.elements():
+        want = [ring.mul(ring.m**k, v) for k in range(len(ring.monomials))]
+        assert ring._monomial_multiples(v) == want, ring.label(v)
+
+
+# every quotient ring the ring and graph tests name, and one of 4,096 elements
+SPAN_RINGS = sorted({
+    *QUOTIENT_RINGS,
+    *(name for name in ORBIT_RINGS + SPLIT_MODULUS_RINGS if "[" in name),
+    "Z2[x,t]/(x^6,t^2+t)",
+})
+
+
+@pytest.mark.parametrize("name", SPAN_RINGS)
+def test_span_bits_matches_the_member_walk(name):
+    # one and two generators, over 0, each maximal ideal and a principal J;
+    # at most 32 generators a ring, spread over the carrier
+    ring = build_ring(name)
+    xs = range(0, ring.size, -(-ring.size // 32))
+    bases = [1, *ring.maximal_bits, member_walk_span(ring, (xs[len(xs) // 2],), 1)]
+    for base in bases:
+        for x, y in zip(xs, reversed(xs)):
+            for values in [(x,), (x, y)]:
+                want = member_walk_span(ring, values, base)
+                assert ring.span_bits(values, base) == want, (values, base)
+
+
+@given(ring=small_quotient_rings(), data=st.data())
+def test_span_bits_matches_the_member_walk_on_random_rings(ring, data):
+    idx = st.integers(0, ring.size - 1)
+    values = tuple(data.draw(st.lists(idx, min_size=1, max_size=3)))
+    base = data.draw(st.sampled_from([1, member_walk_span(ring, (data.draw(idx),), 1)]))
+    assert ring.span_bits(values, base) == member_walk_span(ring, values, base)
 
 
 @given(

@@ -224,6 +224,18 @@ def test_quotient_mul_matches_polynomial_reference(name):
         assert ring.mul(a, b) == poly_mul(ring, a, b), (ring.label(a), ring.label(b))
 
 
+@pytest.mark.parametrize("name", QUOTIENT_RINGS)
+def test_structure_constants_fill_every_ordered_pair(name):
+    # the table reduces each unordered pair once and mirrors it
+    ring = build_ring(name)
+
+    def product(mi, mj):
+        digits = ring._reduce({tuple(x + y for x, y in zip(mi, mj)): 1})
+        return tuple((slot, c) for slot, c in enumerate(digits) if c)
+
+    assert ring._products == [[product(mi, mj) for mj in ring.monomials] for mi in ring.monomials]
+
+
 def test_parse_label_reduces_high_powers():
     # t^3 = 1 in this field of four elements, so t^200 = t^2
     ring = build_ring("Z2[t]/(t^2+t+1)")
