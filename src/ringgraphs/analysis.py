@@ -127,25 +127,6 @@ def is_subgraph(g1: GraphLevel, g2: GraphLevel) -> bool:
     )
 
 
-def induced_subgraph(g: GraphLevel, keep: set[int]) -> GraphLevel:
-    """Restriction of g to the given vertices (order preserved)."""
-    kept = [k for k, v in enumerate(g.vertices) if v in keep]
-    # bit k of an old row maps to the new bit of vertex k, or to nothing
-    at_new = [0] * len(g.vertices)
-    for j, k in enumerate(kept):
-        at_new[k] = 1 << j
-    rows = tuple(sum(set_bit_items(g.rows[k], at_new)) for k in kept)
-    return GraphLevel(
-        ring=g.ring,
-        ideal=g.ideal,
-        kind=g.kind,
-        level=g.level,
-        requested_extended=g.requested_extended,
-        vertices=tuple(g.vertices[k] for k in kept),
-        rows=rows,
-    )
-
-
 def zpnq_shape(ring: Ring) -> tuple[int, int, int]:
     """(p, n, q) for a Z_{p^n q} ring with distinct primes p and q.
 

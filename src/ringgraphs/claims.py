@@ -24,9 +24,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import analysis
-from .analysis import (
-    PartitionWitness, check_partition_claim, is_complete, is_empty_graph, zpnq_parts
-)
+from .analysis import PartitionWitness, check_partition_claim, is_complete, zpnq_parts
 from .conilpotency import conilpotency_maximum, conilpotency_record, ring_conilpotency_index
 from .graphs import (
     COZERO,
@@ -107,13 +105,21 @@ class ClaimReport:
 
 
 class _Resolved:
-    """One instance with its ring, its ideal J and their shared level context."""
+    """One instance with its ring, its ideal J, their level context and the ring's stable cases."""
 
-    def __init__(self, inst: ClaimInstance, ring: Ring, J: IdealSet):
+    def __init__(self, inst: ClaimInstance, ring: Ring, J: IdealSet, cases: dict):
         self.instance = inst
         self.ring = ring
         self.J = J
         self.ctx = level_context(ring, J)
+        self._cases = cases
+
+    def stable_cases(self) -> list[tuple[int, int, int]]:
+        """``_stable_cases`` of the ring, found once for all the instances sharing ``cases``."""
+        cases = self._cases.get(self.instance.ring)
+        if cases is None:
+            cases = self._cases[self.instance.ring] = _stable_cases(self.ring)
+        return cases
 
     def level(self, i) -> int:
         return self.ctx.level(EXTENDED if i == "ext" else i)
@@ -147,10 +153,10 @@ def _first_pair(g: GraphLevel, masks: Iterable[int]) -> Optional[tuple[int, int]
     return None
 
 
-def _pair_witness(kind: str, g: GraphLevel, x: int, y: int, **extra) -> dict:
-    """A witness naming the vertex pair x, y of g; replay_witness re-checks it."""
-    label = g.ring.label
-    witness = {"kind": kind, "graph": g.kind, "level": g.level, "x": label(x), "y": label(y)}
+def _pair_witness(kind: str, ring: Ring, graph: str, level: int, x: int, y: int,
+                  **extra) -> dict:
+    """A witness naming the vertex pair x, y of a level graph; replay_witness re-checks it."""
+    witness = {"kind": kind, "graph": graph, "level": level, "x": ring.label(x), "y": ring.label(y)}
     return {**witness, **extra}
 
 
@@ -172,10 +178,12 @@ def _run_empty(r: _Resolved):
         return VACUOUS, None, "ring is not Z_{p^n}"
     if r.J.bits != 1:
         return VACUOUS, None, "ideal is not 0"
-    g = r.graph(r.instance.param("i", 1))
-    if is_empty_graph(g):
-        return VERIFIED, None, f"|V|={len(g.vertices)}, no edges"
-    return REFUTED, _pair_witness("edge", g, *_first_pair(g, g.rows)), "an edge exists"
+    i = r.instance.param("i", 1)
+    if r.ctx.is_edgeless(r.level(i), COZERO):
+        return VERIFIED, None, f"|V|={len(r.ctx.vertices())}, no edges"
+    g = r.graph(i)
+    witness = _pair_witness("edge", r.ring, COZERO, g.level, *_first_pair(g, g.rows))
+    return REFUTED, witness, "an edge exists"
 
 
 def _zpnq_instance(r: _Resolved) -> Optional[tuple[int, int, int]]:
@@ -193,21 +201,19 @@ def _run_grow(r: _Resolved):
     if shape is None or shape[1] <= 1:
         return VACUOUS, None, "instance does not match Z_{p^n q} with n > 1 and ideal 0"
     p, n, _ = shape
-    g_lo = r.graph(n - 1)
-    g_hi = r.graph(n)
-    if analysis.graph_equals(g_lo, g_hi):
-        return REFUTED, {
-            "kind": "graphs_equal",
-            "graph": COZERO,
-            "levels": [n - 1, n],
-        }, "levels n-1 and n coincide"
-    u, v = r.ring.size // p, p  # p^(n-1) q and p
-    if not g_lo.has_edge(u, v) and g_hi.has_edge(u, v):
-        witness = _pair_witness("edge", g_hi, u, v, absent_at_level=n - 1)
-        return VERIFIED, witness, "levels differ; the expected pair is the new edge"
-    x, y = _first_pair(g_hi, (hi & ~lo for hi, lo in zip(g_hi.rows, g_lo.rows)))
-    witness = _pair_witness("edge", g_hi, x, y, absent_at_level=n - 1)
-    return VERIFIED, witness, "levels differ (expected pair did not witness it)"
+    # levels n-1 and n differ iff some class pair first relates at level n
+    F = r.ctx.first_levels(COZERO)
+    if not any(n in row for row in F):
+        witness = {"kind": "graphs_equal", "graph": COZERO, "levels": [n - 1, n]}
+        return REFUTED, witness, "levels n-1 and n coincide"
+    u, v = r.ring.size // p, p  # p^(n-1) q and p, vertices of two classes
+    if r.ctx.first_level(COZERO, r.ctx.trajectory(u), r.ctx.trajectory(v)) == n:
+        x, y, detail = u, v, "levels differ; the expected pair is the new edge"
+    else:
+        g_lo, g_hi = r.graph(n - 1), r.graph(n)
+        x, y = _first_pair(g_hi, (hi & ~lo for hi, lo in zip(g_hi.rows, g_lo.rows)))
+        detail = "levels differ (expected pair did not witness it)"
+    return VERIFIED, _pair_witness("edge", r.ring, COZERO, n, x, y, absent_at_level=n - 1), detail
 
 
 def _run_prime(r: _Resolved):
@@ -238,15 +244,10 @@ def _run_tripartite(r: _Resolved):
         }, "valuation split does not have three nonempty parts"
     verdict = check_partition_claim(g, parts)
     if verdict.holds:
-        return VERIFIED, {
-            "kind": "partition",
-            "graph": COZERO,
-            "level": g.level,
-            "parts": part_labels,
-        }, "complete tripartite with the valuation parts"
-    witness = _pair_witness(
-        "partition_pair", g, *verdict.witness, reason=verdict.reason, parts=part_labels
-    )
+        witness = {"kind": "partition", "graph": COZERO, "level": g.level, "parts": part_labels}
+        return VERIFIED, witness, "complete tripartite with the valuation parts"
+    witness = _pair_witness("partition_pair", r.ring, COZERO, g.level, *verdict.witness,
+                            reason=verdict.reason, parts=part_labels)
     return REFUTED, witness, f"partition claim fails: {verdict.reason}"
 
 
@@ -301,7 +302,7 @@ def _run_conilpotent_elements(r: _Resolved):
     ring = r.ring
     if not r.J.issubset(jacobson_radical(ring)):
         return VACUOUS, None, "ideal is not inside the radical"
-    cases = _stable_cases(ring)
+    cases = r.stable_cases()
     if not cases:
         return VACUOUS, None, "no non-unit outside the radical has a stable power"
     for x, n, _ in cases:
@@ -324,7 +325,7 @@ def _run_vertex_membership(r: _Resolved):
     checked = 0
     # stable power in the vertex set forces 1 - x in; a unit's stable power
     # is 1 and a nilpotent's is 0, and neither is a vertex
-    for x, n, xn in _stable_cases(ring):
+    for x, n, xn in r.stable_cases():
         if not vbits >> xn & 1:
             continue
         checked += 1
@@ -354,7 +355,7 @@ def _run_stable_adjacency(r: _Resolved):
     ring = r.ring
     if not r.J.issubset(jacobson_radical(ring)):
         return VACUOUS, None, "ideal is not inside the radical"
-    cases = _stable_cases(ring)
+    cases = r.stable_cases()
     if not cases:
         return VACUOUS, None, "no non-unit outside the radical has a stable power"
     vbits = r.ctx.vertex_bits()
@@ -410,11 +411,21 @@ def check_bipartite_iff(ring: Ring, J: IdealSet, m1: IdealSet, m2: IdealSet, i: 
     xR + J lies in m1 or m2, so x is a vertex; two vertices are adjacent at
     level i exactly when some x^nR + J and y^mR + J with n, m <= i are
     incomparable. So side B says that no edge of the level graph joins two
-    members of one part. Side A forbids those edges too, so A implies B, and
-    only B without A can refute the equivalence. B also leaves only m1 and m2,
-    so the parts are disjoint and cover the vertices off the radical: R/J is a
-    product of local rings, and a third factor puts the idempotents of two
-    factors but m1's, whose ideals are incomparable, in part 1.
+    members of one part. Side A forbids those edges too, so A implies B.
+
+    B implies A as well, so the sides always agree and B decides. B leaves
+    only m1 and m2: R is a product of local rings, and a third factor puts
+    the idempotents of two factors but m1's, whose ideals are incomparable,
+    in part 1. So R = R1 x R2 with m1 = n1 x R2 and m2 = R1 x n2, and J, which
+    lies in the radical n1 x n2, is J1 x J2. Part 1 is then the (a, u) with a
+    in n1 and u a unit, part 2 the (v, b) with v a unit and b in n2: the parts
+    are disjoint and cover the vertices off the radical, and xR + J =
+    (aR1 + J1) x R2 and yR + J = R1 x (bR2 + J2) are incomparable, so every
+    cross pair is an edge at level 1, hence at level i.
+
+    Each twin class is an orbit Ux + J with J in the radical, so it lies
+    wholly inside or outside each of m1, m2 and the radical, and B is read
+    off the first-level matrix of the classes in each part; no level is built.
     Returns (status, witness, detail).
     """
     jac = jacobson_radical(ring)
@@ -422,34 +433,24 @@ def check_bipartite_iff(ring: Ring, J: IdealSet, m1: IdealSet, m2: IdealSet, i: 
         return VACUOUS, None, "ideal is not inside the radical"
     if not (is_maximal(m1) and is_maximal(m2)) or m1.bits == m2.bits:
         return VACUOUS, None, "supplied ideals are not two distinct maximal ideals"
-    part1, part2 = (tuple(set_bit_items(m.bits & ~jac.bits, range(ring.size))) for m in (m1, m2))
-    g = build_level(ring, J, i, COZERO)
-    mask1, mask2 = (sum(1 << g.position_of(x) for x in part) for part in (part1, part2))
-    if any(row & mask for mask in (mask1, mask2) for row in set_bit_items(mask, g.rows)):
-        return VERIFIED, None, f"both sides fail: equivalence confirmed at level {i}"
-    # B holds, so the parts are disjoint (above) and only a missing cross pair can fail A
-    across = (~row & (mask2 if mask1 >> k & 1 else mask1 if mask2 >> k & 1 else 0)
-              for k, row in enumerate(g.rows))
-    if (pair := _first_pair(g, across)) is None:
-        return VERIFIED, None, f"both sides hold: equivalence confirmed at level {i}"
-    witness = _pair_witness(
-        "partition_pair", g, *pair, reason="missing cross-part edge",
-        parts=[[ring.label(v) for v in part] for part in (part1, part2)],
-        direction="ordered ideals but not complete bipartite",
-    )
-    return REFUTED, witness, "the two sides disagree"
+    ctx = level_context(ring, J)
+    firsts = [t.powers[0] for t in ctx.classes()[1]]  # each class's least member
+    parts = ([c for c, x in enumerate(firsts) if (m.bits & ~jac.bits) >> x & 1] for m in (m1, m2))
+    word = "hold" if all(ctx.is_edgeless(i, COZERO, part) for part in parts) else "fail"
+    return VERIFIED, None, f"both sides {word}: equivalence confirmed at level {i}"
 
 
 def _run_zero_divisor_completeness(r: _Resolved):
     i = r.instance.param("i", 1)
-    g_co = r.graph(i, COZERO)
-    if not is_complete(g_co):
+    lvl = r.level(i)
+    if not r.ctx.is_complete(lvl, COZERO):
         return VACUOUS, None, "the cozero graph is not complete at this level"
+    if r.ctx.is_complete(lvl, ZERO):
+        return VERIFIED, None, f"both graphs complete at level {lvl}"
     g_z = r.graph(i, ZERO)
-    if is_complete(g_z):
-        return VERIFIED, None, f"both graphs complete at level {g_z.level}"
     full = (1 << len(g_z.vertices)) - 1
-    witness = _pair_witness("non_edge", g_z, *_first_pair(g_z, (full ^ row for row in g_z.rows)))
+    witness = _pair_witness("non_edge", r.ring, ZERO, lvl,
+                            *_first_pair(g_z, (full ^ row for row in g_z.rows)))
     return REFUTED, witness, "zero-divisor graph is not complete"
 
 
@@ -457,17 +458,13 @@ def _run_semiprime_incompleteness(r: _Resolved):
     if not is_semiprime(r.J):
         return VACUOUS, None, "ideal is not semiprime"
     # the standing assumption leaves both graphs a nonempty vertex set
+    lvl = r.level(r.instance.param("i", 1))
     for kind, name in ((ZERO, "zero-divisor"), (COZERO, "cozero")):
-        g = r.graph(r.instance.param("i", 1), kind)
-        if is_complete(g):
-            witness = {
-                "kind": "complete_graph",
-                "graph": kind,
-                "level": g.level,
-                "vertices": [r.ring.label(v) for v in g.vertices],
-            }
+        if r.ctx.is_complete(lvl, kind):
+            witness = {"kind": "complete_graph", "graph": kind, "level": lvl,
+                       "vertices": [r.ring.label(v) for v in r.ctx.vertices()]}
             return REFUTED, witness, f"{name} graph is complete"
-    return VERIFIED, None, f"neither graph is complete at level {g.level}"
+    return VERIFIED, None, f"neither graph is complete at level {lvl}"
 
 
 class ClaimDef(NamedTuple):
@@ -557,8 +554,9 @@ CATALOG: dict[str, ClaimDef] = {
 CLAIM_ORDER = list(CATALOG)
 
 
-def _evaluate(instance: ClaimInstance, pairs: dict) -> ClaimReport:
-    """Evaluate one instance; ``pairs`` maps (ring, ideal) names to those that resolved."""
+def _evaluate(instance: ClaimInstance, pairs: dict, cases: dict) -> ClaimReport:
+    """Evaluate one instance; ``pairs`` maps (ring, ideal) names to those that resolved,
+    and ``cases`` ring names to their stable cases."""
     start = time.perf_counter()
     claim = CATALOG.get(instance.claim)
     if claim is None:
@@ -567,7 +565,7 @@ def _evaluate(instance: ClaimInstance, pairs: dict) -> ClaimReport:
     if key not in pairs:
         ring = build_ring(instance.ring)
         pairs[key] = ring, span_from_labels(ring, instance.ideal)
-    resolved = _Resolved(instance, *pairs[key])
+    resolved = _Resolved(instance, *pairs[key], cases)
     if _standing_ok(resolved):
         status, witness, detail = claim.runner(resolved)
     else:
@@ -578,7 +576,7 @@ def _evaluate(instance: ClaimInstance, pairs: dict) -> ClaimReport:
 
 def run_claim(instance: ClaimInstance) -> ClaimReport:
     """Evaluate one claim instance; outside the standing assumption it is VACUOUS."""
-    return _evaluate(instance, {})
+    return _evaluate(instance, {}, {})
 
 
 class SuiteResult:
@@ -593,12 +591,8 @@ class SuiteResult:
 
 
 def _is_mismatch(report: ClaimReport) -> bool:
-    expected = report.instance.expected
-    if expected == VERIFIED and report.status == REFUTED:
-        return True
-    if expected == REFUTED and report.status == VERIFIED:
-        return True
-    return False
+    """REFUTED where VERIFIED was expected, or the other way round."""
+    return {report.instance.expected, report.status} == {VERIFIED, REFUTED}
 
 
 def run_suite(instances: list[ClaimInstance], workers: Optional[int] = None) -> SuiteResult:
@@ -606,11 +600,13 @@ def run_suite(instances: list[ClaimInstance], workers: Optional[int] = None) -> 
 
     Each distinct (ring, ideal) pair is resolved once, at the first instance
     naming it, whose ``elapsed`` includes that; a malformed name raises there.
+    Each ring's stable cases are likewise found once, by the first reader.
     ``workers`` is accepted for compatibility and ignored: the runners are
     bound by the interpreter lock, so threads would not speed them up.
     """
     pairs: dict[tuple[str, str], tuple[Ring, IdealSet]] = {}
-    reports = [_evaluate(inst, pairs) for inst in instances]
+    cases: dict[str, list[tuple[int, int, int]]] = {}
+    reports = [_evaluate(inst, pairs, cases) for inst in instances]
     summary: dict[str, dict[str, int]] = {}
     for rep in reports:
         per = summary.setdefault(rep.instance.claim, {})

@@ -300,6 +300,29 @@ class LevelContext:
             F = self._first.setdefault(kind, F)
         return F
 
+    def is_edgeless(self, i: int, kind: str, among: Optional[Sequence[int]] = None) -> bool:
+        """No two vertices of the classes ``among`` (default: all) are adjacent at level i.
+
+        F is set only on class pairs that hold a vertex pair: no entry among them is <= i.
+        """
+        F = self.first_levels(kind)
+        among = range(len(F)) if among is None else among
+        return not any((f := F[a][b]) is not None and f <= i for a in among for b in among)
+
+    def is_complete(self, i: int, kind: str) -> bool:
+        """Every vertex pair is adjacent at level i: F <= i on every class pair holding one.
+
+        Such a pair is two classes, or one class of two or more members. A
+        cozero class is never adjacent to itself, so a cozero level with such
+        a class is not complete.
+        """
+        several = [mask & (mask - 1) != 0 for mask in self.classes()[2]]
+        if kind == COZERO and any(several):
+            return False
+        F = self.first_levels(kind)
+        return all((f := F[a][b]) is not None and f <= i
+                   for a in range(len(F)) for b in range(a, len(F)) if a != b or several[a])
+
     def adjacent(self, x: int, y: int, i: int, kind: str) -> bool:
         first = None if x == y else self.first_level(kind, self.trajectory(x), self.trajectory(y))
         return first is not None and first <= i

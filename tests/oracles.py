@@ -450,12 +450,6 @@ def pairwise_is_subgraph(g1, g2):
     )
 
 
-def pairwise_induced_edges(g, keep):
-    """The edges of g with both ends kept, in vertex order."""
-    verts = [v for v in g.vertices if v in keep]
-    return [(x, y) for x, y in itertools.combinations(verts, 2) if g.has_edge(x, y)]
-
-
 def grid_graphs():
     """Every grid (ring, ideal) at levels 1-3 and ext, both kinds.
 
@@ -496,6 +490,31 @@ def zn_cozero_rows(n, i):
         for d in members
     }
     return vertices, [rows[math.gcd(x, n)] for x in vertices]
+
+
+def zn_zero_rows(n, i):
+    """Vertices and adjacency rows of Z_n's zero-kind level-i graph over J = 0.
+
+    Plain integers only. n divides x^a exactly when it divides
+    gcd(x^a, n) = gcd(d^a, n) for d = gcd(x, n); and n divides x^a y^b
+    exactly when it divides gcd(x^a, n) gcd(y^b, n), since prime by prime
+    min(A, k) + min(B, k) >= k iff A + B >= k. So the vertices 0 < x < n with
+    d > 1 fall into classes by d, and classes d and e are adjacent when, for
+    some a, b <= i, neither power is 0 and their product is. A class can be
+    adjacent to itself, so each row drops only its own bit.
+    """
+    vertices = [x for x in range(1, n) if math.gcd(x, n) > 1]
+    members = {}
+    for k, x in enumerate(vertices):
+        d = math.gcd(x, n)
+        members[d] = members.get(d, 0) | 1 << k
+    nonzero = {d: {math.gcd(pow(d, a, n), n) for a in range(1, i + 1)} - {n} for d in members}
+    rows = {
+        d: sum(members[e] for e in members
+               if any(f * g % n == 0 for f in nonzero[d] for g in nonzero[e]))
+        for d in members
+    }
+    return vertices, [rows[math.gcd(x, n)] & ~(1 << k) for k, x in enumerate(vertices)]
 
 
 def chain_ring_rows(p, n, i, kind):

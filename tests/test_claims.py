@@ -37,8 +37,7 @@ from ringgraphs.claims import (
     run_suite,
     suite_to_json,
 )
-from ringgraphs.analysis import PartitionWitness, check_partition_claim, induced_subgraph
-from ringgraphs.graphs import COZERO, GraphLevel, build_level, stabilization_bound, vertex_set
+from ringgraphs.graphs import stabilization_bound, vertex_set
 from ringgraphs.ideals import (
     is_maximal,
     jacobson_radical,
@@ -186,18 +185,38 @@ def test_xi_claim():
     assert run_claim(inst("C-XI", "Z12", "6")).status == VERIFIED
 
 
+CLASS_MATRIX_CASES = [
+    ("C-FILT", "Z24", "0", {}, VERIFIED),
+    ("C-XI", "Z12", "0", {}, VACUOUS),
+    ("C-XI", "Z12", "6", {}, VERIFIED),
+    ("C-EMPTY", "Z27", "0", {"i": "ext"}, VERIFIED),
+    ("C-GROW", "Z24", "0", {"p": 2, "q": 3, "n": 3}, VERIFIED),
+    ("C-ZDGC", "Z2xZ2", "0", {"i": 2}, VERIFIED),
+    ("C-ZDGC", "Z12", "0", {"i": 2}, VACUOUS),
+    ("C-SEMI", "Z6", "0", {"i": 1}, VERIFIED),
+    ("C-SEMI", "Z2xZ2", "0", {"i": 1}, REFUTED),
+    ("C-BIP", "Z12", "0", {"i": 1}, VERIFIED),
+    ("C-BIP", "Z36", "6", {"i": "ext"}, VERIFIED),
+]
+
+
 @pytest.mark.parametrize(
-    "claim, ring_name, ideal, status",
-    [("C-FILT", "Z24", "0", VERIFIED), ("C-XI", "Z12", "0", VACUOUS), ("C-XI", "Z12", "6", VERIFIED)],
+    "claim, ring_name, ideal, params, status",
+    CLASS_MATRIX_CASES,
+    ids=[f"{c}-{ring}-{ideal}-{status}" for c, ring, ideal, _, status in CLASS_MATRIX_CASES],
 )
-def test_filtration_and_xi_parity_build_no_level(monkeypatch, claim, ring_name, ideal, status):
-    # both read the context's first-level matrix F: thresholds of one F nest,
-    # and levels 1 and 2 differ iff some class pair first relates at level 2
+def test_filtration_and_xi_parity_build_no_level(monkeypatch, claim, ring_name, ideal, params,
+                                                 status):
+    # each reads the context's first-level matrix F, and level i is the
+    # threshold F <= i: thresholds of one F nest, two levels differ iff some
+    # class pair first relates between them, and completeness, edgelessness
+    # and an edge inside a part are questions about class pairs
     ring = build_ring(ring_name)
     J = span_from_labels(ring, ideal)
     ctx = graphs.LevelContext(ring, J)
     monkeypatch.setitem(graphs._CONTEXTS, (id(ring), J.bits), ctx)
-    assert run_claim(inst(claim, ring_name, ideal)).status == status
+    expected = claims._expected_for(claim, ring_name, ideal)
+    assert run_claim(inst(claim, ring_name, ideal, expected, **params)).status == status
     assert ctx._graphs == {}
 
 
@@ -301,10 +320,11 @@ def brute_bipartite_sides(ring, J, m1, m2, i):
 
 
 def test_check_bipartite_iff_matches_brute_force_sides():
-    # side B is read off the level graph and only B without A refutes; the
-    # brute force decides both sides from power ideals, over every ideal
-    # inside the radical, every ordered pair of maximal ideals and levels
-    # 1 .. bound + 1, on rings with two, three and four maximal ideals
+    # side B is read off the class matrix and decides, since B implies A; the
+    # brute force decides both sides from power ideals, and checks that they
+    # agree, over every ideal inside the radical, every ordered pair of
+    # maximal ideals and levels 1 .. bound + 1, on rings with two, three and
+    # four maximal ideals
     # Z2[x,y]/(x^3+x,y^2) is Z2[y]/(y^2) x Z2[t,y]/(t^2,y^2): side B holds in
     # the part of the first factor's maximal ideal and fails in the other
     hand_maxima = {"Z2[x,y]/(x^3+x,y^2)": [["x", "y"], ["x+1", "y"]]}
@@ -323,49 +343,13 @@ def test_check_bipartite_iff_matches_brute_force_sides():
             for m1, m2 in itertools.permutations(maxima, 2):
                 for i in range(1, stabilization_bound(ring, J) + 2):
                     side_a, side_b = brute_bipartite_sides(ring, J, m1, m2, i)
-                    if side_a == side_b:
-                        word = "hold" if side_a else "fail"
-                        detail = f"both sides {word}: equivalence confirmed at level {i}"
-                        expected = (VERIFIED, detail)
-                    else:
-                        expected = (REFUTED, "the two sides disagree")
-                    status, _, detail = check_bipartite_iff(ring, J, m1, m2, i)
-                    assert (status, detail) == expected, (name, J.bits, i)
+                    assert side_a == side_b, (name, J.bits, i)
+                    word = "hold" if side_a else "fail"
+                    detail = f"both sides {word}: equivalence confirmed at level {i}"
+                    got = check_bipartite_iff(ring, J, m1, m2, i)
+                    assert got == (VERIFIED, None, detail), (name, J.bits, i)
                     cases += 1
     assert cases >= 350, cases
-
-
-@pytest.mark.parametrize("name", ["Z12", "Z36", "Z4xZ9", "Z6[x]/(x^2)", "Z10[x]/(x^2)"])
-def test_check_bipartite_iff_names_the_first_missing_cross_pair(monkeypatch, name):
-    # both sides always agree on a real level graph, so a copy with a few
-    # cross-part edges taken out drives the REFUTED branch; its witness is the
-    # first offending pair that check_partition_claim reads off the parts
-    ring = build_ring(name)
-    J = zero_ideal(ring)
-    m1, m2 = maximal_ideals(ring)
-    jac = jacobson_radical(ring)
-    parts = tuple(tuple(x for x in m.members() if not jac.contains(x)) for m in (m1, m2))
-    g = build_level(ring, J, 1)
-    cross = [(x, y) for x, y in g.edges() if {x, y} & set(parts[0]) and {x, y} & set(parts[1])]
-    rows = list(g.rows)
-    for x, y in random.Random(name).sample(cross, 3):
-        i, j = g.position_of(x), g.position_of(y)
-        rows[i] &= ~(1 << j)
-        rows[j] &= ~(1 << i)
-    cut = GraphLevel(ring, J, COZERO, 1, False, g.vertices, tuple(rows))
-    monkeypatch.setattr(claims, "build_level", lambda *args: cut)
-    status, witness, detail = check_bipartite_iff(ring, J, m1, m2, 1)
-    kept = induced_subgraph(cut, set(parts[0]) | set(parts[1]))
-    verdict = check_partition_claim(kept, PartitionWitness(parts))
-    assert (status, detail) == (REFUTED, "the two sides disagree")
-    assert witness == {
-        "kind": "partition_pair", "graph": COZERO, "level": 1,
-        "x": ring.label(verdict.witness[0]), "y": ring.label(verdict.witness[1]),
-        "reason": verdict.reason,
-        "parts": [[ring.label(v) for v in part] for part in parts],
-        "direction": "ordered ideals but not complete bipartite",
-    }
-    assert verdict.reason == "missing cross-part edge"
 
 
 def test_bipartite_parts_exclude_radical():
@@ -667,15 +651,21 @@ def test_run_suite_resolves_each_ring_and_ideal_once(monkeypatch):
     grid = default_grid()
     random.Random(20).shuffle(grid)
     per_instance = [run_claim(i).as_dict() for i in grid]
-    built, spanned = [], []
+    built, spanned, cased = [], [], []
     _spy(monkeypatch, "build_ring", built)
     _spy(monkeypatch, "span_from_labels", spanned)
+    _spy(monkeypatch, "_stable_cases", cased)
     result = run_suite(grid)
     pairs = {(i.ring, i.ideal) for i in grid}
     resolved = {(name, label) for (name,), (_, label) in zip(built, spanned)}
     assert len(built) == len(spanned) == len(pairs) < len(grid)
     assert resolved == pairs
     assert [rep.as_dict() for rep in result.reports] == per_instance
+    # C-VMEM reads the stable cases whenever the standing assumption holds,
+    # and every ring's are found once in the suite
+    read = {rep.instance.ring for rep in result.reports
+            if rep.instance.claim == "C-VMEM" and rep.detail != "ideal is maximal or improper"}
+    assert sorted(id(ring) for (ring,) in cased) == sorted(id(build_ring(name)) for name in read)
 
 
 @pytest.mark.parametrize(
@@ -697,7 +687,7 @@ def test_malformed_second_instance_raises_at_that_instance(
     _spy(monkeypatch, "build_ring", built)
     with pytest.raises(error):
         run_suite([first, second, first])
-    assert [instance for instance, _ in evaluated] == [first, second]
+    assert [args[0] for args in evaluated] == [first, second]
     # an unknown claim id raises before its ring is resolved
     assert [name for (name,) in built] == ["Z27"] + ([] if "claim" in bad else [second.ring])
     path = tmp_path / "grid.json"

@@ -17,6 +17,7 @@ from oracles import (
     naive_vertices,
     power_rho,
     zn_cozero_rows,
+    zn_zero_rows,
 )
 from test_acceptance import ORACLE_RINGS
 from ringgraphs import clear_caches, graphs, rings
@@ -757,6 +758,16 @@ def test_zn_levels_match_the_closed_form(n, i):
     vertices, rows = zn_cozero_rows(n, i)
     assert g.vertices == tuple(vertices)
     assert g.rows == tuple(rows)
+
+
+@pytest.mark.parametrize("n", [720, 1000, 2310])
+def test_zn_zero_levels_match_the_closed_form(n):
+    # every zero-kind level from 1 to bound + 1
+    ring, J = zero_of(f"Z{n}")
+    for i in range(1, stabilization_bound(ring, J) + 2):
+        vertices, rows = zn_zero_rows(n, i)
+        g = build_level(ring, J, i, ZERO)
+        assert (g.vertices, g.rows) == (tuple(vertices), tuple(rows)), (n, i)
 
 
 @pytest.mark.parametrize("p, n", [(2, 6), (3, 4), (5, 3), (7, 3)])

@@ -30,7 +30,15 @@ from ringgraphs.ideals import (
     span_from_labels,
     zero_ideal,
 )
-from ringgraphs.graphs import COZERO, ZERO, build_level, stabilization_bound, vertex_set
+from ringgraphs.graphs import (
+    COZERO,
+    ZERO,
+    build_level,
+    level_context,
+    minimal_stabilization_index,
+    stabilization_bound,
+    vertex_set,
+)
 from ringgraphs.rings import PolyQuotientRing, ProductRing, build_ring
 from test_graphs import NONLOCAL_RINGS, ORBIT_RINGS, SPLIT_MODULUS_RINGS
 from test_rings import PRODUCT_RINGS, QUOTIENT_RINGS
@@ -380,14 +388,26 @@ def test_span_bits_matches_the_member_walk_on_random_rings(ring, data):
 )
 def test_random_ring_levels_match_naive_edges(ring, data):
     # every level up to one past the bound, in both kinds, against the
-    # pairwise referee, on random quotient rings and products of two of them
+    # pairwise referee, on random quotient rings and products of two of them;
+    # the context's completeness and edgelessness on classes, and the sharp
+    # index, the least level whose edges are already the last level's, are
+    # checked against the same edge sets
     g = data.draw(st.integers(0, ring.size - 1))
     J = data.draw(st.sampled_from([zero_ideal(ring), span(ring, [g])]))
     j_members = set(J.members())
+    ctx, bound = level_context(ring, J), stabilization_bound(ring, J)
+    pairs = len(vertex_set(ring, J)) * (len(vertex_set(ring, J)) - 1) // 2
     for kind in (COZERO, ZERO):
-        for i in range(1, stabilization_bound(ring, J) + 2):
-            got = set(build_level(ring, J, i, kind).edges())
-            assert got == naive_edges(ring, j_members, i, kind), (ring.descriptor, J.bits, kind, i)
+        levels = []
+        for i in range(1, bound + 2):
+            want = naive_edges(ring, j_members, i, kind)
+            where = (ring.descriptor, J.bits, kind, i)
+            assert set(build_level(ring, J, i, kind).edges()) == want, where
+            assert ctx.is_complete(i, kind) == (len(want) == pairs), where
+            assert ctx.is_edgeless(i, kind) == (not want), where
+            levels.append(want)
+        sharp = levels.index(levels[-1]) + 1
+        assert minimal_stabilization_index(ring, J, kind) == sharp <= bound, (ring.descriptor, kind)
 
 
 @pytest.mark.parametrize("name", ORACLE_RINGS)
